@@ -62,7 +62,6 @@ from .terms import (
     Var,
     apply_context,
     apply_subst,
-    hedge_concat,
     singleton,
 )
 from .wellmoded import ModeTable, Violation, check_clause, check_program, check_query
@@ -80,7 +79,7 @@ __all__ = [
     "format_literal", "format_value", "parse_hedge", "parse_program",
     "parse_query", "parse_term",
     "EMPTY_HEDGE", "EMPTY_SUBST", "HOLE", "Apply", "Hedge", "Subst", "Var",
-    "apply_context", "apply_subst", "hedge_concat", "singleton",
+    "apply_context", "apply_subst", "singleton",
     "ModeTable", "Violation", "check_clause", "check_program", "check_query",
     "__version__",
 ]

@@ -10,11 +10,12 @@ Selecting the leftmost literal of the current goal produces an iterator of
 alternatives, each a rewritten goal:
 
 * a positive transformation literal first checks the strategy's head symbol
-  against the native combinators, then tries each matching clause head: for
-  clause ``st' :: lhs' ==> rhs' :- body`` and each matcher ``σ`` of
-  ``(st', lhs')`` against the ground ``(st, lhs)``, the literal becomes
-  ``bodyσ`` followed by a forced match of the query's right-hand side
-  against ``rhs'σ``;
+  against the native combinators, then tries its clauses in source order,
+  skipping those whose first lhs element has another head symbol than the
+  subject's: for clause ``st' :: lhs' ==> rhs' :- body`` and each matcher
+  ``σ`` of the un-renamed ``(st', lhs')`` against the ground ``(st, lhs)``,
+  the literal becomes ``bodyσ`` followed by a forced match of its rhs against
+  ``rhs'σ``; ``σ`` renames only the clause-local variables it leaves unbound;
 * a forced match enumerates matchers of its pattern against its
   now-ground subject, applying each one to the remaining goal and to the
   answer under construction;
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from . import strategies
-from .matching import match_hedge
+from .matching import check_subject, match_hedge
 from .program import (
     Abbreviation,
     CutLiteral,
@@ -256,23 +257,16 @@ class Session:
     def fresh_var(self, kind: str, stem: str) -> Var:
         return Var(kind, f"{stem}#{next(self._fresh)}")
 
-    def rename_clause(self, clause):
-        """A copy of a clause with every variable renamed apart."""
-        mapping: dict = {}
-        if isinstance(clause, RhoClause):
-            occurring = list(literal_vars(clause.head))
-        else:
-            occurring = list(literal_vars(PredLiteral(clause.head)))
-        for lit in clause.body:
-            occurring.extend(literal_vars(lit))
-        for var in occurring:
-            if var not in mapping:
-                fresh = Var(var.kind, f"{var.name}#{next(self._fresh)}", var.anon)
-                mapping[var] = _identity_image(fresh)
-        body = tuple(apply_to_literal(mapping, lit) for lit in clause.body)
-        if isinstance(clause, RhoClause):
-            return RhoClause(apply_to_literal(mapping, clause.head), body, clause.line)
-        return PredClause(apply_subst(mapping, clause.head), body, clause.line)
+    def rename_clause(self, clause, sigma, head_out: Hedge, cut):
+        """A clause's ``(body, head_out)`` under its matcher ``sigma``.
+
+        In the same pass, ``!`` becomes ``cut`` and each variable ``sigma``
+        leaves unbound gets a fresh name, so activations of a clause stay apart.
+        """
+        mapping = _Renaming(sigma.as_dict(), self._fresh)
+        body = tuple(cut if isinstance(lit, CutLiteral)
+                     else apply_to_literal(mapping, lit) for lit in clause.body)
+        return body, apply_subst(mapping, head_out)
 
     def report(self, message: str) -> None:
         self.runtime_errors.append(message)
@@ -311,12 +305,20 @@ class Session:
         return check_query(query, self.program.modes)
 
 
-def _identity_image(var: Var):
-    if var.kind == "s":
-        return singleton(var)
-    if var.kind == "c":
-        return Apply(var, singleton(HOLE))
-    return var
+class _Renaming(dict):
+    """A matcher's bindings; each variable it leaves unbound gets a fresh name."""
+
+    def __init__(self, bindings, counter):
+        super().__init__(bindings)
+        self.counter = counter
+
+    def get(self, var):
+        image = dict.get(self, var)
+        if image is None:
+            fresh = Var(var.kind, f"{var.name}#{next(self.counter)}", var.anon)
+            image = self[var] = Apply(fresh, singleton(HOLE)) \
+                if var.kind == "c" else fresh
+        return image
 
 
 _COMPARISONS = {
@@ -452,25 +454,8 @@ class _Machine:
             self.session.report(f"strategy {strategy!r} has no head symbol")
             return iter(())
         clauses = self.session.program.rho_clauses(strategy.head)
-        barrier = len(self.stack)
-        subject = Hedge((lit.strategy, lit.lhs))
-
-        def alts():
-            for k, clause in enumerate(clauses, 1):
-                renamed = self.session.rename_clause(clause)
-                pattern = Hedge((renamed.head.strategy, renamed.head.lhs))
-                for j, sigma in enumerate(match_hedge(pattern, subject), 1):
-                    if self.tracing:
-                        self._trace(f"{self._lit_text(lit)} | clause {k}, "
-                                    f"matcher {j}")
-                    body = tuple(
-                        _Cut(barrier) if isinstance(b, CutLiteral)
-                        else apply_to_literal(sigma, b)
-                        for b in renamed.body)
-                    forced = ForcedMatch(lit.rhs,
-                                         apply_subst(sigma, renamed.head.rhs))
-                    yield body + (forced,) + rest, bindings
-        return alts()
+        return self._resolve(lit, rest, bindings, enumerate(clauses, 1),
+                             lambda h: ((h.strategy,), h.lhs.items, h.rhs.items))
 
     def _negation(self, lit: RhoLiteral, rest, bindings) -> Iterator:
         if self.session.debug_checks:
@@ -505,31 +490,46 @@ class _Machine:
         if mode is None:
             self.session.report(f"no mode declared for {name}/{arity}")
             return iter(())
-        in_pos, out_pos = mode
-        call_items = lit.args.items
-        subject = Hedge(call_items[i - 1] for i in sorted(in_pos))
-        out_pattern = Hedge(call_items[i - 1] for i in sorted(out_pos))
-        barrier = len(self.stack)
+        ins, outs = sorted(mode[0]), sorted(mode[1])
+        return self._resolve(
+            lit, rest, bindings,
+            ((k, c) for k, c in enumerate(clauses, 1) if len(c.head.args) == arity),
+            lambda h: ((), tuple(h.args.items[i - 1] for i in ins),
+                       tuple(h.args.items[i - 1] for i in outs)))
+
+    def _resolve(self, lit, rest, bindings, numbered, view) -> Iterator:
+        """Resolve a selected literal against ``numbered`` ``(k, clause)`` pairs.
+
+        ``view`` splits the literal or a clause head into a prefix, its input
+        items and its output items.  A clause is skipped unbuilt when its
+        first input item has another head symbol than the literal's; else its
+        un-renamed prefix and inputs are matched against the literal's.
+        """
+        prefix, ins, outs = view(lit)
+        subject, out_pattern = Hedge(prefix + ins), Hedge(outs)
+        # A non-ground subject raises below, whichever clauses are skipped.
+        lead = getattr(ins[0], "head", None) if ins else None
+        cut = _Cut(len(self.stack))
 
         def alts():
-            for k, clause in enumerate(clauses, 1):
-                if len(clause.head.args) != arity:
+            tried = skipped = False
+            for k, clause in numbered:
+                prefix, ins, outs = view(clause.head)
+                first = ins[0] if ins else None
+                if (first is None and lead is not None) or (isinstance(first, Apply)
+                        and isinstance(first.head, str) and first.head != lead):
+                    skipped = True
                     continue
-                renamed = self.session.rename_clause(clause)
-                head_items = renamed.head.args.items
-                pattern = Hedge(head_items[i - 1] for i in sorted(in_pos))
-                for j, sigma in enumerate(match_hedge(pattern, subject), 1):
+                tried = True
+                for j, sigma in enumerate(match_hedge(Hedge(prefix + ins), subject), 1):
                     if self.tracing:
                         self._trace(f"{self._lit_text(lit)} | clause {k}, "
                                     f"matcher {j}")
-                    body = tuple(
-                        _Cut(barrier) if isinstance(b, CutLiteral)
-                        else apply_to_literal(sigma, b)
-                        for b in renamed.body)
-                    head_out = Hedge(head_items[i - 1] for i in sorted(out_pos))
-                    forced = ForcedMatch(out_pattern,
-                                         apply_subst(sigma, head_out))
-                    yield body + (forced,) + rest, bindings
+                    body, out = self.session.rename_clause(
+                        clause, sigma, Hedge(outs), cut)
+                    yield body + (ForcedMatch(out_pattern, out),) + rest, bindings
+            if skipped and not tried:   # match_hedge checks every head tried
+                check_subject(subject)
         return alts()
 
     def _builtin(self, lit: PredLiteral, rest, bindings) -> Iterator:

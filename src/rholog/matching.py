@@ -50,12 +50,17 @@ def match_hedge(pattern: Hedge, subject: Hedge, subst: Subst = EMPTY_SUBST,
     """
     if not isinstance(pattern, Hedge) or not isinstance(subject, Hedge):
         raise TypeError("match_hedge expects hedges on both sides")
-    if not is_ground(subject) or not is_hole_free(subject):
-        raise ValueError(f"subject must be ground and hole-free: {subject!r}")
+    check_subject(subject)
     if len(subst):
         pattern = apply_subst(subst, pattern)
     order = traversal or TRAVERSAL
     return _match_seq(pattern.items, subject.items, subst, order)
+
+
+def check_subject(subject: Hedge) -> None:
+    """Raise ValueError unless ``subject`` is ground and hole-free."""
+    if not is_ground(subject) or not is_hole_free(subject):
+        raise ValueError(f"subject must be ground and hole-free: {subject!r}")
 
 
 def match_term(pattern, subject, subst: Subst = EMPTY_SUBST,

@@ -168,11 +168,6 @@ def int_value(t) -> Optional[int]:
     return None
 
 
-def hedge_concat(h1: Hedge, h2: Hedge) -> Hedge:
-    """Flat concatenation of two hedges; ``eps`` is the unit."""
-    return Hedge((h1, h2))
-
-
 def singleton(t) -> Hedge:
     return Hedge((t,))
 

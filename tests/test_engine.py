@@ -58,6 +58,65 @@ class TestClauseSelection:
         got = hedges(session, "pick :: a ==> i_R")
         assert got == [a("first", a("a")), a("second", a("a"))]
 
+    MIXED = """
+    pick :: (k(i_X), s_) ==> one(i_X).
+    pick :: (s_, k(s_X), s_) ==> two(s_X).
+    pick :: i_X ==> three(i_X).
+    pick :: (m, s_) ==> four.
+    pick :: (f_F(s_), s_) ==> f_F(five).
+    pick :: eps ==> six.
+    pick :: s_X ==> seven(s_X).
+    pick :: (k(b), s_) ==> eight.
+    :- mode(pk(+, -)).
+    pk(k(i_X), one(i_X)).
+    pk(i_X, two(i_X)).
+    pk(m, three).
+    pk(f_F(i_Y), f_F(four)).
+    pk(k(b), five).
+    :- mode(kp(-, +)).
+    kp(one, m).
+    kp(two(i_X), i_X).
+    kp(three, k(b)).
+    """
+
+    def test_clause_order_survives_leading_symbol_skips(self):
+        # Clauses whose first lhs element is headed by another symbol are
+        # skipped; the rest still answer in source order.
+        session = Session(consult_text(self.MIXED))
+        assert hedges(session, "pick :: (k(b), m) ==> i_R") == [
+            parse_term(t) for t in
+            ("one(b)", "two(b)", "k(five)", "seven(k(b), m)", "eight")]
+        assert hedges(session, "pick :: eps ==> i_R") == [
+            a("six"), a("seven")]
+
+    def test_predicate_clause_order_survives_leading_symbol_skips(self):
+        session = Session(consult_text(self.MIXED))
+        assert hedges(session, "pk(k(b), i_R)") == [
+            parse_term(t) for t in ("one(b)", "two(k(b))", "k(four)", "five")]
+        assert hedges(session, "pk(m, i_R)") == [
+            parse_term(t) for t in ("two(m)", "three")]
+        assert hedges(session, "kp(i_R, k(b))") == [
+            parse_term(t) for t in ("two(k(b))", "three")]
+
+    def test_clause_local_variables_stay_apart(self):
+        # i_N is bound only by the body, and five activations of the second
+        # clause are live at once: each needs its own i_N.
+        session = Session(consult_text(
+            "len :: eps ==> z.\n"
+            "len :: (i_X, s_T) ==> s(i_N) :- len :: s_T ==> i_N.\n"))
+        assert hedges(session, "len :: (a, b, c, d, e) ==> i_R") == [
+            parse_term("s(s(s(s(s(z)))))")]
+
+    @pytest.mark.parametrize("callee", ["p :: g(a) ==> b.", "p :: i_X ==> b."])
+    def test_non_ground_selected_lhs_raises(self, callee):
+        # The body literal's lhs keeps i_Y unbound; the error is the same
+        # whether or not a clause of p gets past its leading symbol.
+        session = Session(consult_text(
+            callee + "\nq :: a ==> i_Z :- p :: f(i_Y) ==> i_Z.\n",
+            strict=False))
+        with pytest.raises(ValueError, match="ground and hole-free"):
+            list(session.solve_text("q :: a ==> i_R"))
+
     def test_no_clauses_means_failure(self):
         session = Session(consult_text(""))
         assert hedges(session, "nothing :: a ==> i_X") == []
@@ -337,6 +396,16 @@ class TestTrace:
         text = trace.getvalue()
         assert "clause 1, matcher 1" in text
         assert "str1" in text
+
+    def test_trace_numbers_clauses_in_source_order(self):
+        trace = io.StringIO()
+        session = Session(consult_text(
+            "t :: a ==> one.\nt :: b ==> two.\nt :: c ==> three.\n"),
+            trace=trace)
+        assert hedges(session, "t :: c ==> i_R") == [a("three")]
+        text = trace.getvalue()
+        assert "clause 3, matcher 1" in text
+        assert "clause 1" not in text and "clause 2" not in text
 
     def test_trace_covers_each_selected_literal(self):
         trace = io.StringIO()

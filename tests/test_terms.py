@@ -12,7 +12,6 @@ from rholog.terms import (
     Subst,
     apply_context,
     apply_subst,
-    hedge_concat,
     hole_count,
     singleton,
     subterms,
@@ -90,9 +89,10 @@ class TestApplySubst:
 
 class TestHedge:
     def test_concat_unit(self):
-        assert hedge_concat(EMPTY_HEDGE, h(a("a"), a("b"))) == h(a("a"), a("b"))
-        assert hedge_concat(h(a("a")), h(a("b"), a("c"))) == h(a("a"), a("b"), a("c"))
-        assert hedge_concat(EMPTY_HEDGE, EMPTY_HEDGE) == EMPTY_HEDGE
+        # Concatenation is construction from the parts: eps is its unit.
+        assert Hedge((EMPTY_HEDGE, h(a("a"), a("b")))) == h(a("a"), a("b"))
+        assert Hedge((h(a("a")), h(a("b"), a("c")))) == h(a("a"), a("b"), a("c"))
+        assert Hedge((EMPTY_HEDGE, EMPTY_HEDGE)) == EMPTY_HEDGE
 
     def test_flattening_is_canonical(self):
         left = Hedge((Hedge((a("a"), a("b"))), Hedge((a("c"),))))
