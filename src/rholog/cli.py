@@ -143,8 +143,9 @@ def run_batch(files: List[str], query_text: Optional[str], *,
         return 2
     if count == 0:
         out.write("false.\n")
-        return 1
-    return 0
+    if session.runtime_errors:
+        return 2
+    return 0 if count else 1
 
 
 class Repl:

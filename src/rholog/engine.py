@@ -70,7 +70,6 @@ from .terms import (
     Var,
     apply_subst,
     int_value,
-    is_ground,
     num,
     singleton,
 )
@@ -417,7 +416,7 @@ class _Machine:
         raise TypeError(f"cannot execute literal {lit!r}")
 
     def _forced_match(self, lit: ForcedMatch, rest, bindings) -> Iterator:
-        if not is_ground(lit.subject):
+        if not lit.subject.ground:
             raise RuntimeError(
                 f"internal error: forced-match subject not ground: {lit!r}")
 
@@ -439,7 +438,7 @@ class _Machine:
 
     def _positive_rho(self, lit: RhoLiteral, rest, bindings) -> Iterator:
         if self.session.debug_checks:
-            if not is_ground(lit.strategy) or not is_ground(lit.lhs):
+            if not (lit.strategy.ground and lit.lhs.ground):
                 raise RuntimeError(
                     "well-modedness broken at runtime: selected literal "
                     f"{format_literal(lit, self.session.operators)} has a "

@@ -32,8 +32,6 @@ from .terms import (
     Subst,
     Var,
     apply_subst,
-    is_ground,
-    is_hole_free,
     singleton,
 )
 
@@ -59,7 +57,7 @@ def match_hedge(pattern: Hedge, subject: Hedge, subst: Subst = EMPTY_SUBST,
 
 def check_subject(subject: Hedge) -> None:
     """Raise ValueError unless ``subject`` is ground and hole-free."""
-    if not is_ground(subject) or not is_hole_free(subject):
+    if not subject.ground or subject.holes:
         raise ValueError(f"subject must be ground and hole-free: {subject!r}")
 
 
@@ -96,8 +94,9 @@ def _match_seq(pat: tuple, subj: tuple, subst: Subst, order: str) -> Iterator[Su
         yield from _match_seq(_rewrite(rest, p0, bound), subj_rest, bound, order)
         return
 
-    if p0 == s0:  # ground element: nothing to decompose
-        yield from _match_seq(rest, subj_rest, subst, order)
+    if p0.ground:  # a ground element matches only itself
+        if p0 == s0:
+            yield from _match_seq(rest, subj_rest, subst, order)
         return
 
     head = p0.head

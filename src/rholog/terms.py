@@ -16,12 +16,17 @@ A *context* is a term containing exactly one occurrence of ``hole``;
 applying a context to a term replaces the hole with that term.
 
 Everything here is immutable and compares structurally, so the backtracking
-machinery can share values freely without copying.
+machinery can share values freely without copying.  Every :class:`Apply`
+and :class:`Hedge` carries two facts, fixed when it is built from its
+children's: ``ground`` (it contains no variable of any kind) and ``holes``
+(how many times ``hole`` occurs in it).  Groundness and hole checks are
+therefore O(1), and substitution returns ground sub-values as they are,
+shared rather than copied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 HOLE_NAME = "hole"
@@ -31,7 +36,7 @@ KINDS = ("i", "s", "f", "c")
 KIND_NAMES = {"i": "individual", "s": "sequence", "f": "function", "c": "context"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """A variable of one of the four kinds.
 
@@ -45,6 +50,10 @@ class Var:
     kind: str
     name: str
     anon: bool = False
+
+    # A variable is never ground and holds no hole.
+    ground = False
+    holes = 0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -60,16 +69,22 @@ class Var:
 class Hedge:
     """A flat, immutable sequence of terms and sequence variables."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "ground", "holes")
 
     def __init__(self, items: Iterable = ()):
         flat: list = []
+        ground = True
+        holes = 0
         for item in items:
             if isinstance(item, Hedge):
                 flat.extend(item.items)
             else:
                 flat.append(item)
+            ground = ground and item.ground
+            holes += item.holes
         object.__setattr__(self, "items", tuple(flat))
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "holes", holes)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Hedge is immutable")
@@ -101,7 +116,7 @@ class Hedge:
 EMPTY_HEDGE = Hedge()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Apply:
     """Application of a head to an argument hedge.
 
@@ -112,16 +127,20 @@ class Apply:
 
     head: Union[str, Var]
     args: Hedge = EMPTY_HEDGE
+    ground: bool = field(init=False, compare=False, repr=False)
+    holes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        head = self.head
+        head, args = self.head, self.args
         if isinstance(head, Var):
-            if head.kind == "c" and len(self.args) != 1:
+            if head.kind == "c" and len(args) != 1:
                 raise ValueError("a context variable applies to exactly one term")
             if head.kind in ("i", "s"):
                 raise ValueError(f"{head.text()} cannot head an application")
-        elif head == HOLE_NAME and len(self.args) != 0:
+        elif head == HOLE_NAME and args:
             raise ValueError("hole never takes arguments")
+        object.__setattr__(self, "ground", args.ground and not isinstance(head, Var))
+        object.__setattr__(self, "holes", 1 if head == HOLE_NAME else args.holes)
 
     def __repr__(self) -> str:
         return _bounded_repr(self)
@@ -189,28 +208,16 @@ def vars_of(value) -> Iterator[Var]:
 
 def is_ground(value) -> bool:
     """True when the value contains no variables of any kind."""
-    return next(vars_of(value), None) is None
+    return value.ground
 
 
 def hole_count(value) -> int:
-    if isinstance(value, Var):
-        return 0
-    if isinstance(value, Apply):
-        if value.head == HOLE_NAME:
-            return 1
-        return hole_count(value.args)
-    if isinstance(value, Hedge):
-        return sum(hole_count(item) for item in value)
-    raise TypeError(f"not a syntax value: {value!r}")
-
-
-def is_hole_free(value) -> bool:
-    return hole_count(value) == 0
+    return value.holes
 
 
 def is_context(t) -> bool:
     """A context is a term with exactly one occurrence of ``hole``."""
-    return isinstance(t, (Var, Apply)) and hole_count(t) == 1
+    return isinstance(t, (Var, Apply)) and t.holes == 1
 
 
 class Subst:
@@ -318,10 +325,10 @@ EMPTY_SUBST = Subst()
 
 def _check_binding(var: Var, value) -> None:
     if var.kind == "i":
-        ok = isinstance(value, (Var, Apply)) and is_hole_free(value)
+        ok = isinstance(value, (Var, Apply)) and value.holes == 0
         ok = ok and not (isinstance(value, Var) and value.kind != "i")
     elif var.kind == "s":
-        ok = isinstance(value, Hedge) and is_hole_free(value)
+        ok = isinstance(value, Hedge) and value.holes == 0
     elif var.kind == "f":
         ok = isinstance(value, str) or (isinstance(value, Var) and value.kind == "f")
     else:
@@ -337,13 +344,16 @@ def apply_subst(subst, value):
     image of a sequence variable splices into the surrounding hedge, a bound
     function variable replaces the head of its application, and a bound
     context variable application ``c_X(t)`` becomes its context image with
-    the (rewritten) argument in place of the hole.
+    the (rewritten) argument in place of the hole.  Ground values come back
+    as the very same objects.
 
     ``subst`` may be a :class:`Subst` or any object with a ``get(var)``
     mapping — a plain ``dict`` works — which renaming and the matcher rely on.
     """
     if isinstance(value, Hedge):
-        return Hedge(_apply_elem(subst, item) for item in value)
+        if value.ground:
+            return value
+        return Hedge(_apply_elem(subst, item) for item in value.items)
     result = _apply_elem(subst, value)
     if isinstance(result, Hedge):
         raise ValueError(f"sequence image {result!r} cannot stand as a term")
@@ -355,9 +365,11 @@ def _apply_elem(subst, elem):
         image = subst.get(elem)
         return elem if image is None else image
     if isinstance(elem, Apply):
+        if elem.ground:
+            return elem
         head = elem.head
         if isinstance(head, Var) and head.kind == "c":
-            arg = apply_subst(subst, elem.args[0])
+            arg = apply_subst(subst, elem.args.items[0])
             ctx = subst.get(head)
             if ctx is None:
                 return Apply(head, singleton(arg))
@@ -366,26 +378,24 @@ def _apply_elem(subst, elem):
             image = subst.get(head)
             if image is not None:
                 head = image
-        return Apply(head, Hedge(_apply_elem(subst, a) for a in elem.args))
+        return Apply(head, Hedge(_apply_elem(subst, a) for a in elem.args.items))
     raise TypeError(f"not a syntax value: {elem!r}")
 
 
 def apply_context(ctx, t):
     """Replace the single hole of ``ctx`` with the term ``t``."""
-    holes = hole_count(ctx)
-    if holes != 1:
-        raise ValueError(f"malformed context ({holes} holes): {ctx!r}")
-    return _fill_hole(ctx, t)
-
-
-def _fill_hole(ctx, t):
-    if isinstance(ctx, Apply):
-        if ctx.head == HOLE_NAME:
-            return t
-        if hole_count(ctx) == 0:
-            return ctx
-        return Apply(ctx.head, Hedge(_fill_hole(a, t) for a in ctx.args))
-    return ctx
+    if not is_context(ctx):
+        raise ValueError(f"malformed context (not one hole): {ctx!r}")
+    # Walk down the arguments that hold the hole, then rebuild upwards.
+    path = []
+    while ctx.head != HOLE_NAME:
+        items = ctx.args.items
+        i = next(i for i, arg in enumerate(items) if arg.holes)
+        path.append((ctx.head, items, i))
+        ctx = items[i]
+    for head, items, i in reversed(path):
+        t = Apply(head, Hedge(items[:i] + (t,) + items[i + 1:]))
+    return t
 
 
 def subterms(t) -> Iterator:

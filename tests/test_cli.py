@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from rholog.cli import Repl, main, run_batch
 
 
@@ -91,6 +93,18 @@ class TestBatch:
                              query_text="spin :: a ==> i_X",
                              depth_limit=100)
         assert code == 2 and "frames" in err
+
+    @pytest.mark.parametrize("query, lenient, message", [
+        ("i_X is a + 1", False, "error: arithmetic error"),
+        ("nl(a)", True, "error: unknown built-in call nl/1"),
+    ])
+    def test_runtime_error_exit_2(self, query, lenient, message):
+        # The erring literal fails and the query reports false., but the
+        # exit status still says that an error happened.
+        code, out, err = batch(files=[], query_text=query, lenient=lenient)
+        assert code == 2
+        assert out == "false.\n"
+        assert message in err
 
     def test_byte_identical_reruns(self):
         runs = [batch(files=["examples/strat.rholog", "prelude/rewrite.rholog"],

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from rholog.matching import decompositions, hole_positions, match_hedge, match_term
+from rholog.matching import (
+    check_subject,
+    decompositions,
+    hole_positions,
+    match_hedge,
+    match_term,
+)
 from rholog.terms import HOLE, Apply, Hedge, apply_subst, singleton
 
 from conftest import (
@@ -212,3 +218,14 @@ class TestAgainstOracle:
             list(match_hedge(h(a("a")), h(iv("X"))))
         with pytest.raises(ValueError):
             list(match_hedge(h(a("a")), singleton(a("f", HOLE))))
+
+    def test_deep_subject_needs_no_recursion(self):
+        # f(f(...f(a)...)) 10,000 levels deep, far past the default
+        # recursion limit: checking and matching it must not walk it.
+        t = a("a")
+        for _ in range(10_000):
+            t = Apply("f", singleton(t))
+        check_subject(singleton(t))
+        matchers = list(match_hedge(h(iv("X")), singleton(t)))
+        assert len(matchers) == 1
+        assert matchers[0].get(iv("X")) is t

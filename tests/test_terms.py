@@ -15,6 +15,7 @@ from rholog.terms import (
     hole_count,
     singleton,
     subterms,
+    vars_of,
 )
 
 from conftest import a, cv, fv, h, iv, sv
@@ -171,3 +172,55 @@ def _subterm_at(t, path):
     for i in path:
         t = t.args[i - 1]
     return t
+
+
+# -- cached facts ------------------------------------------------------------
+
+_open_leaves = st.sampled_from(
+    [iv("X"), sv("Y"), HOLE, Apply(fv("F")), Apply(cv("C"), singleton(a("a")))])
+
+
+def _open_terms():
+    """Ground terms from _terms(), mixed with holes and every variable kind."""
+    return st.recursive(
+        st.one_of(_terms(), _open_leaves),
+        lambda children: st.tuples(_names, st.lists(children, max_size=3)).map(
+            lambda nw: Apply(nw[0], Hedge(nw[1]))),
+        max_leaves=8)
+
+
+def _holes_by_walk(value):
+    if isinstance(value, Hedge):
+        return sum(_holes_by_walk(item) for item in value.items)
+    if isinstance(value, Apply):
+        return (value.head == "hole") + _holes_by_walk(value.args)
+    return 0
+
+
+def _nested(value):
+    """The value and every Apply and Hedge inside it."""
+    if isinstance(value, (Apply, Hedge)):
+        yield value
+        for item in (value.args if isinstance(value, Apply) else value).items:
+            yield from _nested(item)
+
+
+@given(st.lists(_open_terms(), max_size=4), st.lists(_open_terms(), max_size=4),
+       _terms(), _terms(), st.data())
+def test_cached_facts_agree_with_a_full_walk(left, right, shell, image, data):
+    hedge = Hedge((Hedge(left), Hedge(right)))
+    i, j = sorted(data.draw(st.integers(0, len(hedge))) for _ in range(2))
+    ctx = _dig(shell, data.draw(st.sampled_from(list(_all_positions(shell)))))
+    images = {iv("X"): image, sv("Y"): Hedge((image, shell)), fv("F"): "g",
+              cv("C"): ctx}
+    keep = data.draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    sigma = Subst.of({v: img for (v, img), k in zip(images.items(), keep) if k})
+    values = [hedge, hedge[i:j], apply_subst(sigma, hedge),
+              apply_subst(sigma, hedge[i:j]), apply_context(ctx, image)]
+    values += [apply_context(ctx, t) for t in hedge if isinstance(t, Apply)]
+    for value in values:
+        for v in _nested(value):
+            assert v.ground == (next(vars_of(v), None) is None)
+            assert v.holes == _holes_by_walk(v)
+            if v.ground:
+                assert apply_subst(sigma, v) is v
