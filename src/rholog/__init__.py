@@ -28,7 +28,7 @@ from .engine import (
     consult_files,
     consult_text,
 )
-from .matching import decompositions, hole_positions, match_hedge, match_term
+from .matching import decompositions, match_hedge
 from .program import (
     Abbreviation,
     CutLiteral,
@@ -54,11 +54,9 @@ from .syntax import (
 )
 from .terms import (
     EMPTY_HEDGE,
-    EMPTY_SUBST,
     HOLE,
     Apply,
     Hedge,
-    Subst,
     Var,
     apply_context,
     apply_subst,
@@ -71,14 +69,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Answer", "ConsultError", "DepthLimitExceeded", "ModeError", "Program",
     "Session", "consult", "consult_files", "consult_text",
-    "decompositions", "hole_positions", "match_hedge", "match_term",
+    "decompositions", "match_hedge",
     "Abbreviation", "CutLiteral", "OpDirective", "PredClause", "PredLiteral",
     "RhoClause", "RhoLiteral", "SourceProgram",
     "COMBINATORS", "Interaction", "corpus_path", "corpus_source", "list_corpus",
     "OperatorTable", "ParseError", "default_operators", "format_hedge",
     "format_literal", "format_value", "parse_hedge", "parse_program",
     "parse_query", "parse_term",
-    "EMPTY_HEDGE", "EMPTY_SUBST", "HOLE", "Apply", "Hedge", "Subst", "Var",
+    "EMPTY_HEDGE", "HOLE", "Apply", "Hedge", "Var",
     "apply_context", "apply_subst", "singleton",
     "ModeTable", "Violation", "check_clause", "check_program", "check_query",
     "__version__",

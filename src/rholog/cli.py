@@ -18,7 +18,6 @@ directory first and then against the shipped corpus, so
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from itertools import islice
 from typing import List, Optional
@@ -32,35 +31,11 @@ from .engine import (
     Program,
     Session,
     consult,
+    read_files,
 )
 from .program import SourceProgram
-from .syntax import ParseError, default_operators, format_value, parse_program
+from .syntax import ParseError, default_operators, format_value
 from .wellmoded import check_program
-
-
-def resolve_program_path(name: str) -> str:
-    """A consultable path: the file itself, or the shipped corpus entry."""
-    if os.path.exists(name):
-        return name
-    try:
-        candidate = strategies.corpus_path(name)
-        if candidate.is_file():
-            return str(candidate)
-    except (FileNotFoundError, ModuleNotFoundError):
-        pass
-    raise FileNotFoundError(f"no such program file: {name}")
-
-
-def _load_sources(paths) -> tuple:
-    table = default_operators()
-    items = SourceProgram()
-    for name in paths:
-        path = resolve_program_path(name)
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        source, table = parse_program(text, table)
-        items.items.extend(source.items)
-    return items, table
 
 
 def _print_answer(answer: Answer, table, out) -> None:
@@ -80,7 +55,7 @@ def run_batch(files: List[str], query_text: Optional[str], *,
     err = err if err is not None else sys.stderr
 
     try:
-        source, table = _load_sources(files)
+        source, table = read_files(files)
     except (FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -195,10 +170,7 @@ class Repl:
 
     def _consult(self, name: str) -> bool:
         try:
-            path = resolve_program_path(name)
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            source, table = parse_program(text, self.table.clone())
+            source, table = read_files([name], self.table.clone())
             merged = SourceProgram(list(self.items.items) + list(source.items))
             program = consult(merged, table, strict=not self.lenient)
         except (FileNotFoundError, OSError) as exc:

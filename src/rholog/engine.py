@@ -35,12 +35,13 @@ along two derivations appears twice.
 from __future__ import annotations
 
 import itertools
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from . import strategies
-from .matching import check_subject, match_hedge
+from .matching import match_hedge
 from .program import (
     Abbreviation,
     CutLiteral,
@@ -160,16 +161,31 @@ def consult_text(text: str, strict: bool = True,
     return consult(source, table, strict)
 
 
+def read_files(paths, operators: Optional[OperatorTable] = None):
+    """Parse program files, in order, into one ``(SourceProgram, OperatorTable)``.
+
+    Operator directives carry over from file to file, starting from
+    ``operators`` (which is updated in place) or the default table.  Each
+    path names a file or, failing that, a shipped corpus entry, so
+    ``examples/strat.rholog`` works from any directory.
+    """
+    table = operators if operators is not None else default_operators()
+    items = SourceProgram()
+    for name in paths:
+        path = name
+        if not os.path.exists(name):
+            path = strategies.corpus_path(name)
+            if not path.is_file():
+                raise FileNotFoundError(f"no such program file: {name}")
+        with open(path, "r", encoding="utf-8") as handle:
+            source, table = parse_program(handle.read(), table)
+        items.items.extend(source.items)
+    return items, table
+
+
 def consult_files(paths, strict: bool = True) -> Program:
     """Consult several files as one program, in order."""
-    table = default_operators()
-    items = SourceProgram()
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        source, table = parse_program(text, table)
-        items.items.extend(source.items)
-    return consult(items, table, strict)
+    return consult(*read_files(paths), strict)
 
 
 class Answer:
@@ -262,7 +278,7 @@ class Session:
         In the same pass, ``!`` becomes ``cut`` and each variable ``sigma``
         leaves unbound gets a fresh name, so activations of a clause stay apart.
         """
-        mapping = _Renaming(sigma.as_dict(), self._fresh)
+        mapping = _Renaming(sigma, self._fresh)
         body = tuple(cut if isinstance(lit, CutLiteral)
                      else apply_to_literal(mapping, lit) for lit in clause.body)
         return body, apply_subst(mapping, head_out)
@@ -425,11 +441,10 @@ class _Machine:
                 if self.tracing:
                     self._trace(f"match {lit.pattern!r} against "
                                 f"{lit.subject!r} | matcher {j}")
-                added = sigma.as_dict()
-                new_rest = tuple(apply_to_literal(added, lt) for lt in rest) \
-                    if added else rest
+                new_rest = tuple(apply_to_literal(sigma, lt) for lt in rest) \
+                    if sigma else rest
                 new_bindings = bindings
-                named = {v: val for v, val in added.items() if not v.anon}
+                named = {v: val for v, val in sigma.items() if not v.anon}
                 if named:
                     new_bindings = dict(bindings)
                     new_bindings.update(named)
@@ -502,24 +517,27 @@ class _Machine:
         ``view`` splits the literal or a clause head into a prefix, its input
         items and its output items.  A clause is skipped unbuilt when its
         first input item has another head symbol than the literal's; else its
-        un-renamed prefix and inputs are matched against the literal's.
+        un-renamed prefix and inputs are matched against the literal's.  If
+        the literal's own are not ground and hole-free, which only a query or
+        program that failed or skipped the mode check can bring about, the
+        error is reported and the literal fails.
         """
         prefix, ins, outs = view(lit)
         subject, out_pattern = Hedge(prefix + ins), Hedge(outs)
-        # A non-ground subject raises below, whichever clauses are skipped.
+        if not subject.ground or subject.holes:
+            self.session.report(f"input of {self._lit_text(lit)} is not "
+                                "ground and hole-free")
+            return iter(())
         lead = getattr(ins[0], "head", None) if ins else None
         cut = _Cut(len(self.stack))
 
         def alts():
-            tried = skipped = False
             for k, clause in numbered:
                 prefix, ins, outs = view(clause.head)
                 first = ins[0] if ins else None
                 if (first is None and lead is not None) or (isinstance(first, Apply)
                         and isinstance(first.head, str) and first.head != lead):
-                    skipped = True
                     continue
-                tried = True
                 for j, sigma in enumerate(match_hedge(Hedge(prefix + ins), subject), 1):
                     if self.tracing:
                         self._trace(f"{self._lit_text(lit)} | clause {k}, "
@@ -527,8 +545,6 @@ class _Machine:
                     body, out = self.session.rename_clause(
                         clause, sigma, Hedge(outs), cut)
                     yield body + (ForcedMatch(out_pattern, out),) + rest, bindings
-            if skipped and not tried:   # match_hedge checks every head tried
-                check_subject(subject)
         return alts()
 
     def _builtin(self, lit: PredLiteral, rest, bindings) -> Iterator:

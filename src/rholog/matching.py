@@ -11,48 +11,27 @@ them lazily, exactly once each, in a fixed canonical order:
 * a context variable tries hole positions in pre-order (leftmost-outermost);
 * a function variable takes the head symbol of the subject term.
 
-Bindings are applied to the remaining pattern as soon as they are made, so
-a repeated variable simply turns later occurrences into ground subpatterns.
-The enumeration is pure and deterministic; failure is an empty stream.
-
-The context traversal order is a module-level toggle: flipping
-``TRAVERSAL`` to ``"innermost"`` makes context variables (and with them the
-``rewrite`` combinator) explore deepest subterms first.
+Each matcher is a fresh ``dict`` from the pattern's variables to their
+images.  Bindings are applied to the remaining pattern as soon as they are
+made, so a repeated variable simply turns later occurrences into ground
+subpatterns; the bindings made inside an element are then merged into each
+matcher of the elements after it.  The enumeration is pure and
+deterministic; failure is an empty stream.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator
 
-from .terms import (
-    EMPTY_SUBST,
-    Apply,
-    HOLE,
-    Hedge,
-    Subst,
-    Var,
-    apply_subst,
-    singleton,
-)
-
-#: Default traversal order for context-variable enumeration.
-TRAVERSAL = "outermost"
+from .terms import Apply, HOLE, Hedge, Var, apply_subst
 
 
-def match_hedge(pattern: Hedge, subject: Hedge, subst: Subst = EMPTY_SUBST,
-                traversal: Optional[str] = None) -> Iterator[Subst]:
-    """Enumerate every matcher of ``pattern`` against the ground ``subject``.
-
-    Any bindings already present in ``subst`` are applied to the pattern
-    before matching starts, and extended copies of ``subst`` are yielded.
-    """
+def match_hedge(pattern: Hedge, subject: Hedge) -> Iterator[dict]:
+    """Enumerate every matcher of ``pattern`` against the ground ``subject``."""
     if not isinstance(pattern, Hedge) or not isinstance(subject, Hedge):
         raise TypeError("match_hedge expects hedges on both sides")
     check_subject(subject)
-    if len(subst):
-        pattern = apply_subst(subst, pattern)
-    order = traversal or TRAVERSAL
-    return _match_seq(pattern.items, subject.items, subst, order)
+    return _match_seq(pattern.items, subject.items)
 
 
 def check_subject(subject: Hedge) -> None:
@@ -61,28 +40,25 @@ def check_subject(subject: Hedge) -> None:
         raise ValueError(f"subject must be ground and hole-free: {subject!r}")
 
 
-def match_term(pattern, subject, subst: Subst = EMPTY_SUBST,
-               traversal: Optional[str] = None) -> Iterator[Subst]:
-    """Matching specialized to single terms (singleton hedges)."""
-    return match_hedge(singleton(pattern), singleton(subject), subst, traversal)
-
-
-def _match_seq(pat: tuple, subj: tuple, subst: Subst, order: str) -> Iterator[Subst]:
+def _match_seq(pat: tuple, subj: tuple) -> Iterator[dict]:
+    """Matchers of the pattern items ``pat``, binding only their variables."""
     if not pat:
         if not subj:
-            yield subst
+            yield {}
         return
     p0, rest = pat[0], pat[1:]
 
     if isinstance(p0, Var) and p0.kind == "s":
         if not rest:
             # A trailing sequence variable can only take the whole rest.
-            yield subst._bind_unchecked(p0, Hedge(subj))
+            yield {p0: Hedge(subj)}
             return
         # Shortest prefixes first.
         for k in range(len(subj) + 1):
-            bound = subst._bind_unchecked(p0, Hedge(subj[:k]))
-            yield from _match_seq(_rewrite(rest, p0, bound), subj[k:], bound, order)
+            image = Hedge(subj[:k])
+            for tail in _match_seq(_bind(rest, {p0: image}), subj[k:]):
+                tail[p0] = image
+                yield tail
         return
 
     if not subj:
@@ -90,99 +66,68 @@ def _match_seq(pat: tuple, subj: tuple, subst: Subst, order: str) -> Iterator[Su
     s0, subj_rest = subj[0], subj[1:]
 
     if isinstance(p0, Var):  # individual variable
-        bound = subst._bind_unchecked(p0, s0)
-        yield from _match_seq(_rewrite(rest, p0, bound), subj_rest, bound, order)
+        for tail in _match_seq(_bind(rest, {p0: s0}), subj_rest):
+            tail[p0] = s0
+            yield tail
         return
 
     if p0.ground:  # a ground element matches only itself
         if p0 == s0:
-            yield from _match_seq(rest, subj_rest, subst, order)
+            yield from _match_seq(rest, subj_rest)
         return
 
     head = p0.head
     if isinstance(head, Var) and head.kind == "c":
         if not isinstance(s0, Apply):
             return
-        for ctx, sub in decompositions(s0, order):
-            bound = subst._bind_unchecked(head, ctx)
+        for ctx, sub in decompositions(s0):
             inner = apply_subst({head: ctx}, p0.args[0])
-            for extended in _match_seq((inner,), (sub,), bound, order):
-                yield from _match_seq(
-                    _rewrite_diff(rest, extended, subst), subj_rest, extended, order)
+            for sigma in _match_seq((inner,), (sub,)):
+                sigma[head] = ctx
+                for tail in _match_seq(_bind(rest, sigma), subj_rest):
+                    tail.update(sigma)
+                    yield tail
         return
 
     if isinstance(head, Var):  # function variable
         if not (isinstance(s0, Apply) and isinstance(s0.head, str)):
             return
-        bound = subst._bind_unchecked(head, s0.head)
         args = apply_subst({head: s0.head}, p0.args)
-        for extended in _match_seq(args.items, s0.args.items, bound, order):
-            yield from _match_seq(
-                _rewrite_diff(rest, extended, subst), subj_rest, extended, order)
+        for sigma in _match_seq(args.items, s0.args.items):
+            sigma[head] = s0.head
+            for tail in _match_seq(_bind(rest, sigma), subj_rest):
+                tail.update(sigma)
+                yield tail
         return
 
     # Symbol-headed application.
     if not (isinstance(s0, Apply) and s0.head == head):
         return
-    for extended in _match_seq(p0.args.items, s0.args.items, subst, order):
-        yield from _match_seq(
-            _rewrite_diff(rest, extended, subst), subj_rest, extended, order)
+    for sigma in _match_seq(p0.args.items, s0.args.items):
+        for tail in _match_seq(_bind(rest, sigma), subj_rest):
+            tail.update(sigma)
+            yield tail
 
 
-def _rewrite(pat: tuple, var: Var, subst: Subst) -> tuple:
-    """Apply the binding of ``var`` to the remaining pattern elements."""
+def _bind(pat: tuple, sigma: dict) -> tuple:
+    """The remaining pattern items with ``sigma`` applied."""
     if not pat:
         return pat
-    image = {var: subst.get(var)}
-    return apply_subst(image, Hedge(pat)).items
+    return apply_subst(sigma, Hedge(pat)).items
 
 
-def _rewrite_diff(pat: tuple, extended: Subst, base: Subst) -> tuple:
-    """Apply the bindings added between ``base`` and ``extended``."""
-    added = extended.added_since(base)
-    if not added or not pat:
-        return pat
-    return apply_subst(added, Hedge(pat)).items
+def decompositions(t) -> Iterator[tuple]:
+    """All (context, subterm) splits of a ground term, leftmost-outermost.
 
-
-def hole_positions(t, traversal: Optional[str] = None) -> Tuple[Tuple[int, ...], ...]:
-    """Every position of the ground term ``t``, in traversal order.
-
-    Positions are paths of 1-based argument indices; the root is ``()``.
-    The outermost order is a pre-order walk (root first, then each
-    argument's positions left to right); the innermost order visits each
-    argument's positions before the node itself.
+    Positions come in pre-order: ``(hole, t)`` itself first, then each
+    argument's splits left to right.  Filling the context's hole with the
+    subterm reconstructs ``t``.
     """
-    order = traversal or TRAVERSAL
-    out: list = []
-
-    def walk(node, path):
-        if order == "outermost":
-            out.append(path)
-        for i, arg in enumerate(node.args, 1):
-            walk(arg, path + (i,))
-        if order != "outermost":
-            out.append(path)
-
-    walk(t, ())
-    return tuple(out)
-
-
-def decompositions(t, traversal: Optional[str] = None) -> Iterator[tuple]:
-    """All (context, subterm) splits of a ground term, in traversal order.
-
-    Filling the context's hole with the subterm reconstructs ``t``.  The
-    first outermost decomposition is ``(hole, t)`` itself.
-    """
-    order = traversal or TRAVERSAL
     if not isinstance(t, Apply):
         raise TypeError(f"only applications decompose into contexts: {t!r}")
-    if order == "outermost":
-        yield HOLE, t
+    yield HOLE, t
     items = t.args.items
     for i, arg in enumerate(items):
-        for ctx, sub in decompositions(arg, order):
+        for ctx, sub in decompositions(arg):
             wrapped = Apply(t.head, Hedge(items[:i] + (ctx,) + items[i + 1:]))
             yield wrapped, sub
-    if order != "outermost":
-        yield HOLE, t

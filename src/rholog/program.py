@@ -7,7 +7,6 @@ for the same strategy are tried top-down in source order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Tuple, Union
 
@@ -157,18 +156,16 @@ class SourceProgram:
         return len(self.items)
 
 
-_abbrev_counter = itertools.count()
-
-
 def expand_abbreviation(abbr: Abbreviation) -> RhoClause:
     """The clause an abbreviation stands for.
 
-    ``name := strat`` becomes ``name :: s_In ==> s_Out :- strat :: s_In ==> s_Out``
-    with variables fresh to the clause.
+    ``name := strat`` becomes ``name :: s_In ==> s_Out :- strat :: s_In ==> s_Out``.
+    The ``%`` in the variables' names keeps them apart from any source
+    variable; clause variables are renamed on activation, so every
+    abbreviation can use the same two.
     """
-    n = next(_abbrev_counter)
-    s_in = Var("s", f"In%{n}")
-    s_out = Var("s", f"Out%{n}")
+    s_in = Var("s", "In%")
+    s_out = Var("s", "Out%")
     head = RhoLiteral(abbr.name, singleton(s_in), singleton(s_out))
     body = (RhoLiteral(abbr.strategy, singleton(s_in), singleton(s_out)),)
     return RhoClause(head, body, line=abbr.line)

@@ -179,9 +179,11 @@ def _iterate(machine, args, lit, rest, ans):
     return iter([(goal, ans)])
 
 
-def _map_common(machine, args, lit, rest, ans, kind: str):
+def _map(machine, args, lit, rest, ans):
+    name = lit.strategy.head
     if len(args) != 1:
-        return _bad(machine, f"map{'1' if kind == 'i' else ''} takes exactly one strategy")
+        return _bad(machine, f"{name} takes exactly one strategy")
+    kind = "i" if name == "map1" else "s"
     elements = lit.lhs.items
     if not elements:
         return iter([_emit(machine, lit, rest, ans, Hedge())])
@@ -190,14 +192,6 @@ def _map_common(machine, args, lit, rest, ans, kind: str):
                  for el, slot in zip(elements, slots))
     goal += (ForcedMatch(lit.rhs, Hedge(slots)),) + rest
     return iter([(goal, ans)])
-
-
-def _map1(machine, args, lit, rest, ans):
-    return _map_common(machine, args, lit, rest, ans, "i")
-
-
-def _map(machine, args, lit, rest, ans):
-    return _map_common(machine, args, lit, rest, ans, "s")
 
 
 def _interactive(machine, args, lit, rest, ans):
@@ -261,7 +255,7 @@ _HANDLERS = {
     "first_all": _first_all,
     "nf": _nf,
     "iterate": _iterate,
-    "map1": _map1,
+    "map1": _map,
     "map": _map,
     "interactive": _interactive,
     "rewrite": _rewrite,

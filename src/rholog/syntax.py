@@ -46,7 +46,6 @@ from .terms import (
     HOLE_NAME,
     Apply,
     Hedge,
-    Subst,
     Var,
     hole_count,
     singleton,
@@ -131,10 +130,12 @@ class Token:
 
 
 _SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
-_anon_counter = itertools.count()
 
 
 def tokenize(text: str) -> List[Token]:
+    # Anonymous variables are numbered per text: clause variables are
+    # renamed on activation, so names need only be unique within a text.
+    anon_counter = itertools.count()
     tokens: List[Token] = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -220,7 +221,7 @@ def tokenize(text: str) -> List[Token]:
                 if rest:
                     tokens.append(Token("var", Var(kind, rest), start_line, start_col))
                 else:
-                    name = f"~{next(_anon_counter)}"
+                    name = f"~{next(anon_counter)}"
                     tokens.append(Token("var", Var(kind, name, anon=True), start_line, start_col))
             elif word[0].isupper() or word[0] == "_":
                 error(f"host-language variables are not supported: {word!r} "
@@ -608,17 +609,16 @@ _VAR_LIKE = re.compile(r"[iscf]_")
 
 
 def format_value(value, table: Optional[OperatorTable] = None) -> str:
-    """Render a term, hedge, substitution, or binding mapping as source text."""
+    """Render a term, hedge, or binding mapping (such as a matcher) as source text."""
     table = table if table is not None else default_operators()
     if isinstance(value, Hedge):
         return format_hedge(value, table)
     if isinstance(value, (Var, Apply)):
         return _format_term(value, table, 1200)
-    if isinstance(value, (Subst, dict)):
-        pairs = value.items() if isinstance(value, dict) else value.as_dict().items()
+    if isinstance(value, dict):
         inner = ", ".join(
             f"{var.text()} -> {format_value(img, table)}"
-            for var, img in sorted(pairs, key=lambda kv: (kv[0].kind, kv[0].name)))
+            for var, img in sorted(value.items(), key=lambda kv: (kv[0].kind, kv[0].name)))
         return "{" + inner + "}"
     raise TypeError(f"cannot format {value!r}")
 

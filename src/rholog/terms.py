@@ -1,4 +1,4 @@
-"""Immutable syntax trees: variables, terms, hedges, contexts, substitutions.
+"""Immutable syntax trees (variables, terms, hedges, contexts) and substitution.
 
 A *term* is an individual variable, the reserved constant ``hole``, or an
 application of a head to an argument hedge; the head is a function symbol
@@ -220,123 +220,6 @@ def is_context(t) -> bool:
     return isinstance(t, (Var, Apply)) and t.holes == 1
 
 
-class Subst:
-    """An immutable finite map from variables to their images.
-
-    Individual variables map to hole-free terms, sequence variables to
-    hole-free hedges, function variables to symbol names (or, for identity
-    renamings, to function variables), and context variables to contexts.
-    Unmapped variables are implicitly identity.
-
-    Bindings share structure: ``bind`` returns a child substitution backed
-    by its parent, which keeps backtracking cheap and makes it easy to
-    recover the bindings added since any earlier point.
-    """
-
-    __slots__ = ("_var", "_value", "_parent", "_len")
-
-    def __init__(self):
-        object.__setattr__(self, "_var", None)
-        object.__setattr__(self, "_value", None)
-        object.__setattr__(self, "_parent", None)
-        object.__setattr__(self, "_len", 0)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Subst is immutable")
-
-    @classmethod
-    def of(cls, mapping) -> "Subst":
-        s = EMPTY_SUBST
-        for var, value in mapping.items() if hasattr(mapping, "items") else mapping:
-            s = s.bind(var, value)
-        return s
-
-    def bind(self, var: Var, value) -> "Subst":
-        _check_binding(var, value)
-        return self._bind_unchecked(var, value)
-
-    def _bind_unchecked(self, var: Var, value) -> "Subst":
-        # For binders that guarantee well-formed images by construction
-        # (the matcher carves every image out of a ground subject).
-        child = object.__new__(Subst)
-        object.__setattr__(child, "_var", var)
-        object.__setattr__(child, "_value", value)
-        object.__setattr__(child, "_parent", self)
-        object.__setattr__(child, "_len", self._len + 1)
-        return child
-
-    def get(self, var: Var, default=None):
-        node = self
-        while node is not None and node._len:
-            if node._var == var:
-                return node._value
-            node = node._parent
-        return default
-
-    def __contains__(self, var: Var) -> bool:
-        return self.get(var, _MISSING) is not _MISSING
-
-    def __len__(self) -> int:
-        return len(self.as_dict())
-
-    def items(self):
-        return self.as_dict().items()
-
-    def as_dict(self) -> dict:
-        seen: dict = {}
-        node = self
-        while node is not None and node._len:
-            if node._var not in seen:
-                seen[node._var] = node._value
-            node = node._parent
-        return seen
-
-    def added_since(self, base: "Subst") -> dict:
-        """Bindings introduced on the chain between ``base`` and this map."""
-        added: dict = {}
-        node = self
-        while node is not base:
-            if node._var not in added:
-                added[node._var] = node._value
-            node = node._parent
-        return added
-
-    def named(self) -> dict:
-        """The bindings of non-anonymous variables only."""
-        return {v: val for v, val in self.as_dict().items() if not v.anon}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subst) and self.as_dict() == other.as_dict()
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.as_dict().items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{var!r} -> {value!r}"
-            for var, value in sorted(self.as_dict().items(), key=lambda kv: (kv[0].kind, kv[0].name))
-        )
-        return "{" + inner + "}"
-
-
-_MISSING = object()
-EMPTY_SUBST = Subst()
-
-
-def _check_binding(var: Var, value) -> None:
-    if var.kind == "i":
-        ok = isinstance(value, (Var, Apply)) and value.holes == 0
-        ok = ok and not (isinstance(value, Var) and value.kind != "i")
-    elif var.kind == "s":
-        ok = isinstance(value, Hedge) and value.holes == 0
-    elif var.kind == "f":
-        ok = isinstance(value, str) or (isinstance(value, Var) and value.kind == "f")
-    else:
-        ok = is_context(value)
-    if not ok:
-        raise ValueError(f"bad image for {var.text()}: {value!r}")
-
-
 def apply_subst(subst, value):
     """Apply a substitution to a term, hedge, or hedge element.
 
@@ -347,8 +230,8 @@ def apply_subst(subst, value):
     the (rewritten) argument in place of the hole.  Ground values come back
     as the very same objects.
 
-    ``subst`` may be a :class:`Subst` or any object with a ``get(var)``
-    mapping — a plain ``dict`` works — which renaming and the matcher rely on.
+    ``subst`` may be any mapping with ``get``: a matcher's plain ``dict``,
+    or the engine's renaming, whose ``get`` names unbound variables on demand.
     """
     if isinstance(value, Hedge):
         if value.ground:

@@ -135,7 +135,12 @@ def brute_force_matchers(pattern: Hedge, subject: Hedge):
 
 def matcher_set(stream):
     """Solution set of a matcher stream, for comparison with the oracle."""
-    return {frozenset(m.as_dict().items()) for m in stream}
+    return {frozenset(m.items()) for m in stream}
+
+
+def named(m):
+    """The bindings of a matcher's non-anonymous variables."""
+    return {var: value for var, value in m.items() if not var.anon}
 
 
 # ---------------------------------------------------------------------------

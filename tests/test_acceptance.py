@@ -10,7 +10,7 @@ import random
 from contextlib import contextmanager
 
 from rholog.engine import Session, consult, consult_text
-from rholog.matching import match_hedge, match_term
+from rholog.matching import match_hedge
 from rholog.program import RhoClause, RhoLiteral, SourceProgram
 from rholog.strategies import corpus_source
 from rholog.syntax import (
@@ -37,6 +37,7 @@ from conftest import (
     h,
     iv,
     matcher_set,
+    named,
     random_ground_term,
     random_match_case,
     random_pattern,
@@ -73,7 +74,8 @@ def test_criterion_1_matching():
     with criterion("1: context/sequence matching enumerates the documented matchers"):
         pattern = Apply(cv("X"), singleton(a("f", sv("Y"))))
         subject = a("g", a("f", a("a"), a("b")), a("h", a("f", a("a")), a("f")))
-        got = {frozenset(m.named().items()) for m in match_term(pattern, subject)}
+        got = {frozenset(named(m).items())
+               for m in match_hedge(singleton(pattern), singleton(subject))}
         expected = {
             frozenset({(cv("X"), a("g", HOLE, a("h", a("f", a("a")), a("f")))),
                        (sv("Y"), h(a("a"), a("b")))}),
@@ -87,8 +89,8 @@ def test_criterion_1_matching():
 
         pattern2 = parse_hedge("(s_X, f_F(i_X, a, s_), s_Y)")
         subject2 = parse_hedge("(a, f(b), g(a, b), h(b, a))")
-        named = [m.named() for m in match_hedge(pattern2, subject2)]
-        assert named == [{sv("X"): parse_hedge("(a, f(b), g(a, b))"),
+        found = [named(m) for m in match_hedge(pattern2, subject2)]
+        assert found == [{sv("X"): parse_hedge("(a, f(b), g(a, b))"),
                           fv("F"): "h", iv("X"): a("b"), sv("Y"): Hedge()}]
 
 

@@ -1,9 +1,14 @@
 """Command-line behavior: batch runs, exit codes, checking, the REPL."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rholog
 from rholog.cli import Repl, main, run_batch
 
 
@@ -128,6 +133,21 @@ class TestMainEntry:
 
     def test_no_answers_exit_code(self, capsys):
         assert main(["--query", "id :: a ==> b"]) == 1
+
+    @pytest.mark.parametrize("strategy", ["str1", "nosuch"])
+    def test_unbound_lenient_input_exit_2(self, strategy):
+        # The lhs variable i_Y is never bound: with or without clauses for
+        # the strategy, the literal is reported and fails, with no traceback.
+        src = str(Path(rholog.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "rholog", "--consult", "examples/strat.rholog",
+             "--lenient", "--query", f"{strategy} :: i_Y ==> i_X"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 2
+        assert "error: input of" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stdout == "false.\n"
 
 
 def repl_session(script, files=()):

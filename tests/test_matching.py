@@ -5,13 +5,7 @@ import random
 
 import pytest
 
-from rholog.matching import (
-    check_subject,
-    decompositions,
-    hole_positions,
-    match_hedge,
-    match_term,
-)
+from rholog.matching import check_subject, decompositions, match_hedge
 from rholog.terms import HOLE, Apply, Hedge, apply_subst, singleton
 
 from conftest import (
@@ -23,6 +17,7 @@ from conftest import (
     h,
     iv,
     matcher_set,
+    named,
     random_match_case,
     sv,
 )
@@ -34,7 +29,7 @@ class TestDocumentedCases:
         # outermost-first.
         pattern = Apply(cv("X"), singleton(a("f", sv("Y"))))
         subject = a("g", a("f", a("a"), a("b")), a("h", a("f", a("a")), a("f")))
-        got = [m.named() for m in match_term(pattern, subject)]
+        got = [named(m) for m in match_hedge(singleton(pattern), singleton(subject))]
         assert got == [
             {cv("X"): a("g", HOLE, a("h", a("f", a("a")), a("f"))),
              sv("Y"): h(a("a"), a("b"))},
@@ -50,27 +45,27 @@ class TestDocumentedCases:
                     sv("Y"))
         subject = h(a("a"), a("f", a("b")), a("g", a("a"), a("b")),
                     a("h", a("b"), a("a")))
-        got = [m.named() for m in match_hedge(pattern, subject)]
+        got = [named(m) for m in match_hedge(pattern, subject)]
         assert {sv("X"): h(a("a"), a("f", a("b")), a("g", a("a"), a("b"))),
                 fv("F"): "h", iv("X"): a("b"), sv("Y"): Hedge()} in got
 
     def test_two_way_sequence_match(self):
         pattern = h(sv("1"), a("a"), sv("2"))
         subject = h(a("a"), a("b"), a("a"), a("f", a("a")))
-        got = [m.named() for m in match_hedge(pattern, subject)]
+        got = [named(m) for m in match_hedge(pattern, subject)]
         assert got == [
             {sv("1"): Hedge(), sv("2"): h(a("b"), a("a"), a("f", a("a")))},
             {sv("1"): h(a("a"), a("b")), sv("2"): singleton(a("f", a("a")))},
         ]
 
     def test_head_clash_is_empty(self):
-        assert list(match_term(a("a"), a("b"))) == []
+        assert list(match_hedge(h(a("a")), h(a("b")))) == []
 
     def test_all_splits_shortest_first(self):
         # Frozen from the brute-force enumeration of the three splits.
         pattern = h(sv("X"), sv("Y"))
         subject = h(a("a"), a("b"))
-        got = [m.named() for m in match_hedge(pattern, subject)]
+        got = [named(m) for m in match_hedge(pattern, subject)]
         assert got == [
             {sv("X"): Hedge(), sv("Y"): h(a("a"), a("b"))},
             {sv("X"): singleton(a("a")), sv("Y"): singleton(a("b"))},
@@ -80,10 +75,10 @@ class TestDocumentedCases:
             brute_force_matchers(pattern, subject)
 
     def test_single_term_cases(self):
-        assert [m.named() for m in match_term(iv("X"), a("f", a("a")))] == \
+        assert [named(m) for m in match_hedge(h(iv("X")), h(a("f", a("a"))))] == \
             [{iv("X"): a("f", a("a"))}]
-        got = [m.named() for m in match_term(Apply(fv("F"), singleton(sv("Args"))),
-                                             a("h", a("b"), a("a")))]
+        got = [named(m) for m in match_hedge(h(Apply(fv("F"), singleton(sv("Args")))),
+                                             h(a("h", a("b"), a("a"))))]
         assert got == [{fv("F"): "h", sv("Args"): h(a("b"), a("a"))}]
         # Unique by construction: round-trips through application.
         sigma = got[0]
@@ -91,15 +86,15 @@ class TestDocumentedCases:
             a("h", a("b"), a("a"))
 
     def test_context_over_two_positions(self):
-        got = [m.named() for m in match_term(Apply(cv("C"), singleton(a("a"))),
-                                             a("f", a("a"), a("a")))]
+        got = [named(m) for m in match_hedge(h(Apply(cv("C"), singleton(a("a")))),
+                                             h(a("f", a("a"), a("a"))))]
         assert got == [{cv("C"): a("f", HOLE, a("a"))},
                        {cv("C"): a("f", a("a"), HOLE)}]
 
     def test_repeated_variables_constrain(self):
         pattern = h(sv("1"), iv("x"), sv("2"), iv("x"), sv("3"))
         subject = h(a("a"), a("b"), a("a"), a("f", a("a")))
-        got = [m.named() for m in match_hedge(pattern, subject)]
+        got = [named(m) for m in match_hedge(pattern, subject)]
         assert [g[iv("x")] for g in got] == [a("a")]
 
     def test_repeated_context_variable(self):
@@ -107,7 +102,7 @@ class TestDocumentedCases:
         pattern = h(Apply(cv("X"), singleton(iv("Y"))),
                     Apply(cv("X"), singleton(iv("Z"))))
         subject = h(a("f", a("a")), a("f", a("b")))
-        got = [m.named() for m in match_hedge(pattern, subject)]
+        got = [named(m) for m in match_hedge(pattern, subject)]
         assert got == [
             {cv("X"): HOLE, iv("Y"): a("f", a("a")), iv("Z"): a("f", a("b"))},
             {cv("X"): a("f", HOLE), iv("Y"): a("a"), iv("Z"): a("b")},
@@ -118,7 +113,7 @@ class TestDocumentedCases:
     def test_repeated_function_variable(self):
         pattern = h(Apply(fv("F"), singleton(iv("Y"))),
                     Apply(fv("F"), singleton(iv("Z"))))
-        assert [m.named() for m in match_hedge(
+        assert [named(m) for m in match_hedge(
             pattern, h(a("g", a("a")), a("g", a("b"))))] == [
             {fv("F"): "g", iv("Y"): a("a"), iv("Z"): a("b")}]
         assert list(match_hedge(pattern, h(a("g", a("a")), a("k", a("b"))))) == []
@@ -126,20 +121,15 @@ class TestDocumentedCases:
 
 class TestHolePositions:
     def test_leaf(self):
-        assert hole_positions(a("a")) == ((),)
+        assert _hole_positions(a("a")) == [()]
 
     def test_preorder_walk(self):
         t = a("h", a("f", a("f", a("a"))), a("f", a("a")))
-        assert hole_positions(t) == \
-            ((), (1,), (1, 1), (1, 1, 1), (2,), (2, 1))
+        assert _hole_positions(t) == \
+            [(), (1,), (1, 1), (1, 1, 1), (2,), (2, 1)]
 
     def test_flat_term(self):
-        assert hole_positions(a("f", a("b"), a("c"))) == ((), (1,), (2,))
-
-    def test_innermost_toggle(self):
-        t = a("h", a("f", a("f", a("a"))), a("f", a("a")))
-        assert hole_positions(t, "innermost") == \
-            ((1, 1, 1), (1, 1), (1,), (2, 1), (2,), ())
+        assert _hole_positions(a("f", a("b"), a("c"))) == [(), (1,), (2,)]
 
     def test_decompositions_rebuild_subject(self):
         t = a("h", a("f", a("f", a("a"))), a("f", a("a")))
@@ -155,8 +145,9 @@ class TestOrderProperties:
         for _ in range(50):
             subject = random_ground_term(rng, 3)
             pattern = Apply(cv("X"), singleton(iv("Y")))
-            contexts = [m.get(cv("X")) for m in match_term(pattern, subject)]
-            expected = [_hollow_at(subject, p) for p in hole_positions(subject)]
+            contexts = [m.get(cv("X"))
+                        for m in match_hedge(singleton(pattern), singleton(subject))]
+            expected = [_hollow_at(subject, p) for p in _preorder(subject)]
             assert contexts == expected
 
     def test_sequence_bindings_shortest_first(self):
@@ -173,9 +164,30 @@ class TestOrderProperties:
         rng = random.Random(9)
         for _ in range(50):
             pattern, subject = random_match_case(rng)
-            first = [m.as_dict() for m in match_hedge(pattern, subject)]
-            second = [m.as_dict() for m in match_hedge(pattern, subject)]
+            first = list(match_hedge(pattern, subject))
+            second = list(match_hedge(pattern, subject))
             assert first == second
+
+
+def _preorder(t, path=()):
+    """Every position of ``t`` as a path of 1-based argument indices,
+    root first, then each argument's positions left to right."""
+    yield path
+    for i, arg in enumerate(t.args, 1):
+        yield from _preorder(arg, path + (i,))
+
+
+def _hole_positions(t):
+    """The position of the hole in each context ``decompositions`` yields."""
+    out = []
+    for ctx, _ in decompositions(t):
+        path = ()
+        while ctx != HOLE:
+            i = next(i for i, arg in enumerate(ctx.args, 1) if arg.holes)
+            path += (i,)
+            ctx = ctx.args[i - 1]
+        out.append(path)
+    return out
 
 
 def _hollow_at(t, path):
@@ -205,7 +217,7 @@ class TestAgainstOracle:
             found = list(match_hedge(pattern, subject))
             for sigma in found:
                 assert apply_subst(sigma, pattern) == subject
-            seen = [frozenset(m.as_dict().items()) for m in found]
+            seen = [frozenset(m.items()) for m in found]
             assert len(seen) == len(set(seen)), "duplicate matcher emitted"
             assert set(seen) == brute_force_matchers(pattern, subject)
 

@@ -234,21 +234,6 @@ class TestRewrite:
                         "rewrite_by_clause(strat) :: h(f(f(a)), f(a)) ==> i_X")
         assert native == clause
 
-    def test_traversal_toggle_switches_to_innermost(self, rewriting):
-        # One internal toggle flips subterm selection from outermost to
-        # innermost; rewriting then prefers the deepest redex first.
-        from rholog import matching
-        assert matching.TRAVERSAL == "outermost"
-        matching.TRAVERSAL = "innermost"
-        try:
-            got = hedges(rewriting, "rewrite(strat) :: h(f(f(a)), f(a)) ==> i_X")
-        finally:
-            matching.TRAVERSAL = "outermost"
-        assert got == [parse_term("h(f(g(a)), f(a))"),
-                       parse_term("h(g(f(a)), f(a))"),
-                       parse_term("h(a, f(a))"),
-                       parse_term("h(f(f(a)), g(a))")]
-
 
 class TestShippedRewritingStrategies:
     CASES = [

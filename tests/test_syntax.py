@@ -187,8 +187,7 @@ class TestPrinter:
         assert format_value(a("i_trap")) == "'i_trap'"
 
     def test_substitution_display(self):
-        from rholog.terms import Subst
-        sigma = Subst.of({sv("Y"): h(a("a"), a("b"))})
+        sigma = {sv("Y"): h(a("a"), a("b"))}
         assert format_value(sigma) == "{s_Y -> (a, b)}"
 
     def test_all_seven_fixities_round_trip(self):
