@@ -336,6 +336,20 @@ class _Renaming(dict):
         return image
 
 
+def _with_named(bindings: dict, sigma: dict) -> dict:
+    """``bindings`` plus the named variables of the matcher ``sigma``.
+
+    Built here rather than in the forced-match generator, so a suspended
+    generator keeps no dict of its own alive.
+    """
+    named = {var: value for var, value in sigma.items() if not var.anon}
+    if not named:
+        return bindings
+    bindings = dict(bindings)
+    bindings.update(named)
+    return bindings
+
+
 _COMPARISONS = {
     "<": lambda a, b: a < b,
     ">": lambda a, b: a > b,
@@ -432,9 +446,8 @@ class _Machine:
         raise TypeError(f"cannot execute literal {lit!r}")
 
     def _forced_match(self, lit: ForcedMatch, rest, bindings) -> Iterator:
-        if not lit.subject.ground:
-            raise RuntimeError(
-                f"internal error: forced-match subject not ground: {lit!r}")
+        if not lit.subject.ground or lit.subject.holes:
+            return self._bad_input(lit)
 
         def alts():
             for j, sigma in enumerate(match_hedge(lit.pattern, lit.subject), 1):
@@ -443,27 +456,24 @@ class _Machine:
                                 f"{lit.subject!r} | matcher {j}")
                 new_rest = tuple(apply_to_literal(sigma, lt) for lt in rest) \
                     if sigma else rest
-                new_bindings = bindings
-                named = {v: val for v, val in sigma.items() if not v.anon}
-                if named:
-                    new_bindings = dict(bindings)
-                    new_bindings.update(named)
-                yield new_rest, new_bindings
+                yield new_rest, _with_named(bindings, sigma)
         return alts()
 
     def _positive_rho(self, lit: RhoLiteral, rest, bindings) -> Iterator:
+        strategy, lhs = lit.strategy, lit.lhs
         if self.session.debug_checks:
-            if not (lit.strategy.ground and lit.lhs.ground):
+            if not (strategy.ground and lhs.ground):
                 raise RuntimeError(
                     "well-modedness broken at runtime: selected literal "
                     f"{format_literal(lit, self.session.operators)} has a "
                     "non-ground strategy or left-hand side")
+        if not (strategy.ground and lhs.ground) or strategy.holes or lhs.holes:
+            return self._bad_input(lit)
         native = strategies.expand_combinator(self, lit, rest, bindings)
         if native is not None:
             if self.tracing:
                 self._trace(f"{self._lit_text(lit)} | combinator")
             return native
-        strategy = lit.strategy
         if not (isinstance(strategy, Apply) and isinstance(strategy.head, str)):
             self.session.report(f"strategy {strategy!r} has no head symbol")
             return iter(())
@@ -517,17 +527,15 @@ class _Machine:
         ``view`` splits the literal or a clause head into a prefix, its input
         items and its output items.  A clause is skipped unbuilt when its
         first input item has another head symbol than the literal's; else its
-        un-renamed prefix and inputs are matched against the literal's.  If
-        the literal's own are not ground and hole-free, which only a query or
-        program that failed or skipped the mode check can bring about, the
-        error is reported and the literal fails.
+        un-renamed prefix and inputs are matched against the literal's.  A
+        literal whose input is not ground and hole-free is reported and
+        fails; for a rule literal, ``_positive_rho`` has checked that already,
+        before any combinator expanded it.
         """
         prefix, ins, outs = view(lit)
         subject, out_pattern = Hedge(prefix + ins), Hedge(outs)
         if not subject.ground or subject.holes:
-            self.session.report(f"input of {self._lit_text(lit)} is not "
-                                "ground and hole-free")
-            return iter(())
+            return self._bad_input(lit)
         lead = getattr(ins[0], "head", None) if ins else None
         cut = _Cut(len(self.stack))
 
@@ -546,6 +554,16 @@ class _Machine:
                         clause, sigma, Hedge(outs), cut)
                     yield body + (ForcedMatch(out_pattern, out),) + rest, bindings
         return alts()
+
+    def _bad_input(self, lit) -> Iterator:
+        """Report that ``lit``'s input is not ground and hole-free, and fail.
+
+        Only a query or program that failed or skipped the mode check can
+        select such a literal.
+        """
+        self.session.report(f"input of {self._lit_text(lit)} is not "
+                            "ground and hole-free")
+        return iter(())
 
     def _builtin(self, lit: PredLiteral, rest, bindings) -> Iterator:
         name = lit.name

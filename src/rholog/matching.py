@@ -11,19 +11,26 @@ them lazily, exactly once each, in a fixed canonical order:
 * a context variable tries hole positions in pre-order (leftmost-outermost);
 * a function variable takes the head symbol of the subject term.
 
-Each matcher is a fresh ``dict`` from the pattern's variables to their
-images.  Bindings are applied to the remaining pattern as soon as they are
-made, so a repeated variable simply turns later occurrences into ground
-subpatterns; the bindings made inside an element are then merged into each
-matcher of the elements after it.  The enumeration is pure and
-deterministic; failure is an empty stream.
+The search keeps its bindings in one environment, a ``dict``: it binds,
+recurses and unbinds on backtracking, and the dict's insertion order serves
+as the trail of a Prolog machine (Warren 1983).  The pattern is never
+rewritten.  A variable met again is checked against its binding instead: an
+individual variable by equality, a sequence variable by comparing its image
+with the next slice of the subject, a function variable by comparing head
+symbols, and a context variable by walking its context down to the hole in
+step with the subject, then matching its argument pattern there.  Only
+choice points (a sequence variable that is not last in its hedge, a context
+variable) open a nested generator; everything else is a loop over pending
+``(pattern, subject)`` frames.  Each matcher is a fresh ``dict`` copied from
+the environment, holding exactly the pattern's variables.  The enumeration
+is deterministic; failure is an empty stream.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .terms import Apply, HOLE, Hedge, Var, apply_subst
+from .terms import Apply, HOLE, HOLE_NAME, Hedge, Var
 
 
 def match_hedge(pattern: Hedge, subject: Hedge) -> Iterator[dict]:
@@ -31,7 +38,8 @@ def match_hedge(pattern: Hedge, subject: Hedge) -> Iterator[dict]:
     if not isinstance(pattern, Hedge) or not isinstance(subject, Hedge):
         raise TypeError("match_hedge expects hedges on both sides")
     check_subject(subject)
-    return _match_seq(pattern.items, subject.items)
+    # The search yields its one environment; each matcher is a copy of it.
+    return map(dict, _match(pattern.items, 0, subject.items, 0, None, {}))
 
 
 def check_subject(subject: Hedge) -> None:
@@ -40,80 +48,110 @@ def check_subject(subject: Hedge) -> None:
         raise ValueError(f"subject must be ground and hole-free: {subject!r}")
 
 
-def _match_seq(pat: tuple, subj: tuple) -> Iterator[dict]:
-    """Matchers of the pattern items ``pat``, binding only their variables."""
-    if not pat:
-        if not subj:
-            yield {}
-        return
-    p0, rest = pat[0], pat[1:]
+def _match(pat: tuple, i: int, subj: tuple, j: int, later, env: dict):
+    """Yield ``env`` once for each way of matching ``pat[i:]`` against
+    ``subj[j:]`` and then each ``(pat, i, subj, j, later)`` frame of ``later``.
 
-    if isinstance(p0, Var) and p0.kind == "s":
-        if not rest:
-            # A trailing sequence variable can only take the whole rest.
-            yield {p0: Hedge(subj)}
+    Bindings go into ``env`` and are there when the matcher is yielded.  A
+    call may return with bindings of its own still in ``env``: each choice
+    point drops everything bound since it began before it tries its next
+    alternative and before it returns.
+    """
+    while True:
+        if i == len(pat):
+            if j != len(subj):
+                return
+            if later is None:
+                yield env
+                return
+            pat, i, subj, j, later = later
+            continue
+        p = pat[i]
+        i += 1
+
+        if isinstance(p, Var):
+            image = env.get(p)
+            if p.kind == "s":
+                if image is not None:  # compare with the bound slice
+                    k = j + len(image.items)
+                    if subj[j:k] != image.items:
+                        return
+                    j = k
+                elif i == len(pat):  # a trailing sequence variable takes the rest
+                    env[p] = Hedge(subj[j:])
+                    j = len(subj)
+                else:  # shortest prefixes first
+                    mark = len(env)
+                    for k in range(j, len(subj) + 1):
+                        env[p] = Hedge(subj[j:k])
+                        yield from _match(pat, i, subj, k, later, env)
+                        _undo(env, mark)
+                    return
+                continue
+            if j == len(subj):
+                return
+            if image is None:
+                env[p] = subj[j]
+            elif image != subj[j]:
+                return
+            j += 1
+            continue
+
+        if j == len(subj):
             return
-        # Shortest prefixes first.
-        for k in range(len(subj) + 1):
-            image = Hedge(subj[:k])
-            for tail in _match_seq(_bind(rest, {p0: image}), subj[k:]):
-                tail[p0] = image
-                yield tail
-        return
-
-    if not subj:
-        return
-    s0, subj_rest = subj[0], subj[1:]
-
-    if isinstance(p0, Var):  # individual variable
-        for tail in _match_seq(_bind(rest, {p0: s0}), subj_rest):
-            tail[p0] = s0
-            yield tail
-        return
-
-    if p0.ground:  # a ground element matches only itself
-        if p0 == s0:
-            yield from _match_seq(rest, subj_rest)
-        return
-
-    head = p0.head
-    if isinstance(head, Var) and head.kind == "c":
-        if not isinstance(s0, Apply):
+        s = subj[j]  # ground, so an application with a symbol head
+        j += 1
+        if p.ground:  # a ground element matches only itself
+            if p != s:
+                return
+            continue
+        head = p.head
+        if isinstance(head, Var):
+            image = env.get(head)
+            if head.kind == "c":
+                if image is None:  # hole positions in pre-order
+                    mark = len(env)
+                    frame = (pat, i, subj, j, later)
+                    for ctx, sub in decompositions(s):
+                        env[head] = ctx
+                        yield from _match(p.args.items, 0, (sub,), 0, frame, env)
+                        _undo(env, mark)
+                    return
+                s = _at_hole(image, s)
+                if s is None:
+                    return
+                later = (pat, i, subj, j, later)
+                pat, i, subj, j = p.args.items, 0, (s,), 0
+                continue
+            if image is None:
+                env[head] = s.head
+            elif image != s.head:
+                return
+        elif head != s.head:
             return
-        for ctx, sub in decompositions(s0):
-            inner = apply_subst({head: ctx}, p0.args[0])
-            for sigma in _match_seq((inner,), (sub,)):
-                sigma[head] = ctx
-                for tail in _match_seq(_bind(rest, sigma), subj_rest):
-                    tail.update(sigma)
-                    yield tail
-        return
-
-    if isinstance(head, Var):  # function variable
-        if not (isinstance(s0, Apply) and isinstance(s0.head, str)):
-            return
-        args = apply_subst({head: s0.head}, p0.args)
-        for sigma in _match_seq(args.items, s0.args.items):
-            sigma[head] = s0.head
-            for tail in _match_seq(_bind(rest, sigma), subj_rest):
-                tail.update(sigma)
-                yield tail
-        return
-
-    # Symbol-headed application.
-    if not (isinstance(s0, Apply) and s0.head == head):
-        return
-    for sigma in _match_seq(p0.args.items, s0.args.items):
-        for tail in _match_seq(_bind(rest, sigma), subj_rest):
-            tail.update(sigma)
-            yield tail
+        later = (pat, i, subj, j, later)
+        pat, i, subj, j = p.args.items, 0, s.args.items, 0
 
 
-def _bind(pat: tuple, sigma: dict) -> tuple:
-    """The remaining pattern items with ``sigma`` applied."""
-    if not pat:
-        return pat
-    return apply_subst(sigma, Hedge(pat)).items
+def _undo(env: dict, mark: int) -> None:
+    """Drop the bindings made after ``env`` held ``mark`` of them."""
+    while len(env) > mark:
+        env.popitem()
+
+
+def _at_hole(ctx, t):
+    """The subterm of ``t`` at the hole of ``ctx`` if ``t`` fills ``ctx``, else None."""
+    while ctx.head != HOLE_NAME:
+        if ctx.head != t.head:
+            return None
+        items, subj = ctx.args.items, t.args.items
+        if len(items) != len(subj):
+            return None
+        k = next(k for k, arg in enumerate(items) if arg.holes)
+        if items[:k] != subj[:k] or items[k + 1:] != subj[k + 1:]:
+            return None
+        ctx, t = items[k], subj[k]
+    return t
 
 
 def decompositions(t) -> Iterator[tuple]:

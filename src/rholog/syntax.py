@@ -190,9 +190,9 @@ def tokenize(text: str) -> List[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads; not '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("number", int(text[i:j]), start_line, start_col))
             col += j - i

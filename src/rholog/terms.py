@@ -133,7 +133,8 @@ class Apply:
     def __post_init__(self) -> None:
         head, args = self.head, self.args
         if isinstance(head, Var):
-            if head.kind == "c" and len(args) != 1:
+            if head.kind == "c" and (len(args) != 1
+                                     or getattr(args.items[0], "kind", "") == "s"):
                 raise ValueError("a context variable applies to exactly one term")
             if head.kind in ("i", "s"):
                 raise ValueError(f"{head.text()} cannot head an application")
@@ -182,7 +183,7 @@ def int_value(t) -> Optional[int]:
     """The integer a numeral constant denotes, or None."""
     if isinstance(t, Apply) and not t.args and isinstance(t.head, str):
         name = t.head
-        if name.isdigit() or (name.startswith("-") and name[1:].isdigit()):
+        if name.isdecimal() or (name.startswith("-") and name[1:].isdecimal()):
             return int(name)
     return None
 

@@ -134,20 +134,52 @@ class TestMainEntry:
     def test_no_answers_exit_code(self, capsys):
         assert main(["--query", "id :: a ==> b"]) == 1
 
-    @pytest.mark.parametrize("strategy", ["str1", "nosuch"])
-    def test_unbound_lenient_input_exit_2(self, strategy):
-        # The lhs variable i_Y is never bound: with or without clauses for
-        # the strategy, the literal is reported and fails, with no traceback.
-        src = str(Path(rholog.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run(
-            [sys.executable, "-m", "rholog", "--consult", "examples/strat.rholog",
-             "--lenient", "--query", f"{strategy} :: i_Y ==> i_X"],
-            capture_output=True, text=True, env=env, timeout=60)
+    @pytest.mark.parametrize("query", [
+        "str1 :: i_Y ==> i_X",
+        "nosuch :: i_Y ==> i_X",
+        "id :: i_Y ==> i_X",
+        "map1(id) :: (a, i_Y) ==> s_X",
+        "rewrite(id) :: f(i_Y) ==> i_X",
+        "nf(id) :: s_Y ==> s_X",
+        "first_one(id) :: i_Y ==> i_X",
+    ], ids=["str1", "nosuch", "id", "map1", "rewrite", "nf", "first_one"])
+    def test_unbound_lenient_input_exit_2(self, query):
+        # The lhs variable is never bound: whether the strategy has clauses,
+        # none, or is a combinator, the literal is reported and fails, with
+        # no traceback.
+        run = _run_module("--consult", "examples/strat.rholog",
+                          "--lenient", "--query", query)
         assert run.returncode == 2
-        assert "error: input of" in run.stderr
+        assert f"error: input of {query} is not ground" in run.stderr
         assert "Traceback" not in run.stderr
         assert run.stdout == "false.\n"
+
+    def test_unbound_lenient_clause_output_exit_2(self, tmp_path):
+        # A clause whose rhs variable is never bound passes only --lenient;
+        # the forced match of its output is reported, not raised.
+        program = tmp_path / "loose.rholog"
+        program.write_text("p :: a ==> i_Z.\n")
+        run = _run_module("--consult", str(program), "--lenient",
+                          "--query", "p :: a ==> i_X")
+        assert run.returncode == 2
+        assert "is not ground and hole-free" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stdout == "false.\n"
+
+    def test_digit_int_cannot_read_exit_2(self):
+        run = _run_module("--query", "id :: \u00b2 ==> i_X")
+        assert run.returncode == 2
+        assert "syntax error: unexpected character '\u00b2'" in run.stderr
+        assert "Traceback" not in run.stderr
+
+
+def _run_module(*args):
+    """``python -m rholog`` with ``args``, on the rholog under test."""
+    src = str(Path(rholog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    return subprocess.run([sys.executable, "-m", "rholog", *args],
+                          capture_output=True, encoding="utf-8",
+                          env=env, timeout=60)
 
 
 def repl_session(script, files=()):

@@ -128,6 +128,13 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_program(bad)
 
+    @pytest.mark.parametrize("char", ["\u00b2", "\u2460"])
+    def test_digit_int_cannot_read(self, char):
+        # str.isdigit accepts '²' and '①', int() does not: neither may
+        # start a numeral.
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_query(f"id :: {char} ==> i_X")
+
     def test_error_carries_position(self):
         try:
             parse_program("p ::\n  hole ==> a.")

@@ -11,6 +11,7 @@ from rholog.terms import (
     apply_context,
     apply_subst,
     hole_count,
+    int_value,
     singleton,
     subterms,
     vars_of,
@@ -104,6 +105,18 @@ class TestHedge:
         assert hedge[0] == a("a")
 
 
+class TestNumerals:
+    def test_decimal_names_denote_integers(self):
+        assert int_value(a("42")) == 42
+        assert int_value(a("-7")) == -7
+        assert int_value(a("f", a("1"))) is None
+
+    def test_digits_int_cannot_read_are_names(self):
+        # '²'.isdigit() holds, but int('²') raises.
+        assert int_value(a("\u00b2")) is None
+        assert int_value(a("-\u00b2")) is None
+
+
 class TestInvariants:
     def test_hole_never_takes_arguments(self):
         with pytest.raises(ValueError):
@@ -112,6 +125,8 @@ class TestInvariants:
     def test_context_var_single_argument(self):
         with pytest.raises(ValueError):
             Apply(cv("C"), h(a("a"), a("b")))
+        with pytest.raises(ValueError):
+            Apply(cv("C"), h(sv("S")))
 
 
 # -- randomized invariants -------------------------------------------------
