@@ -13,6 +13,10 @@ hosts the ``interactive`` strategy's sub-prompts.
 Paths given to ``--consult`` (or ``consult/1``) resolve against the current
 directory first and then against the shipped corpus, so
 ``--consult examples/strat.rholog`` works from anywhere.
+
+Input nested deeper, or a search recursing through strategy probes deeper,
+than Python's recursion limit allows is reported as ``error: nested too
+deeply``: batch mode exits 2, the shell goes on with the next command.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from .engine import (
 from .program import SourceProgram
 from .syntax import ParseError, default_operators, format_value
 from .wellmoded import check_program
+
+#: The report for a ``RecursionError``, wherever it is raised.
+NESTED_TOO_DEEPLY = "error: nested too deeply"
 
 
 def _print_answer(answer: Answer, table, out) -> None:
@@ -202,11 +209,14 @@ class Repl:
             stripped = text.strip().rstrip(".").strip()
             if stripped == "halt":
                 return 0
-            command = self._as_consult_command(text)
-            if command is not None:
-                self._consult(command)
-                continue
-            self._run_query(text)
+            try:
+                command = self._as_consult_command(text)
+                if command is not None:
+                    self._consult(command)
+                else:
+                    self._run_query(text)
+            except RecursionError:
+                print(NESTED_TOO_DEEPLY, file=self.err)
 
     def _as_consult_command(self, text: str) -> Optional[str]:
         from .program import PredLiteral
@@ -281,17 +291,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Terms print recursively; allow deep results before Python objects.
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     args = build_arg_parser().parse_args(argv)
-    if args.check:
-        return run_batch(args.consult, None, check_only=True)
-    if args.query is not None:
-        return run_batch(
-            args.consult, args.query,
-            all_answers=args.all, max_answers=args.max_answers,
-            lenient=args.lenient, trace=args.trace,
-            depth_limit=args.depth_limit)
-    repl = Repl(files=args.consult, lenient=args.lenient,
-                trace=args.trace, depth_limit=args.depth_limit)
-    return repl.run()
+    try:
+        if args.check:
+            return run_batch(args.consult, None, check_only=True)
+        if args.query is not None:
+            return run_batch(
+                args.consult, args.query,
+                all_answers=args.all, max_answers=args.max_answers,
+                lenient=args.lenient, trace=args.trace,
+                depth_limit=args.depth_limit)
+        repl = Repl(files=args.consult, lenient=args.lenient,
+                    trace=args.trace, depth_limit=args.depth_limit)
+        return repl.run()
+    except RecursionError:
+        print(NESTED_TOO_DEEPLY, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

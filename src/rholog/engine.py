@@ -1,21 +1,26 @@
 """Query evaluation: depth-first, leftmost-selection backtracking.
 
-A consulted :class:`Program` keeps rule clauses grouped by their strategy's
-head symbol, in source order; clauses for the same strategy are tried
-top-down.  Queries run on an explicit choice-point stack rather than the
-host call stack, so long derivations (normal forms of slowly shrinking
-hedges, say) cannot overflow Python's recursion limit.
+Consulting compiles each clause once into a :class:`CompiledClause` record:
+its number ``k``, its input pattern ``head_in`` (a rule's strategy and lhs,
+a predicate's ``+`` arguments), its output pattern ``head_out`` (the rhs,
+the ``-`` arguments), its body and its line.  A :class:`Program` keeps the
+records of each strategy, and of each predicate name and arity, in a
+:class:`ClauseIndex` by the symbol that leads their input.  The index only
+filters: clauses are still tried top-down in source order.  Queries run on
+an explicit choice-point stack rather than the host call stack, so long
+derivations (normal forms of slowly shrinking hedges, say) cannot overflow
+Python's recursion limit.
 
 Selecting the leftmost literal of the current goal produces an iterator of
 alternatives, each a rewritten goal:
 
 * a positive transformation literal first checks the strategy's head symbol
-  against the native combinators, then tries its clauses in source order,
-  skipping those whose first lhs element has another head symbol than the
-  subject's: for clause ``st' :: lhs' ==> rhs' :- body`` and each matcher
-  ``σ`` of the un-renamed ``(st', lhs')`` against the ground ``(st, lhs)``,
-  the literal becomes ``bodyσ`` followed by a forced match of its rhs against
-  ``rhs'σ``; ``σ`` renames only the clause-local variables it leaves unbound;
+  against the native combinators, then tries, in source order, the clauses
+  the index gives for the subject's first lhs element: for clause
+  ``st' :: lhs' ==> rhs' :- body`` and each matcher ``σ`` of the un-renamed
+  ``(st', lhs')`` against the ground ``(st, lhs)``, the literal becomes
+  ``bodyσ`` followed by a forced match of its rhs against ``rhs'σ``; ``σ``
+  renames only the clause-local variables it leaves unbound;
 * a forced match enumerates matchers of its pattern against its
   now-ground subject, applying each one to the remaining goal and to the
   answer under construction;
@@ -34,16 +39,19 @@ along two derivations appears twice.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from operator import attrgetter
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from . import strategies
 from .matching import match_hedge
 from .program import (
     Abbreviation,
+    Body,
     CutLiteral,
     ForcedMatch,
     PredClause,
@@ -97,31 +105,96 @@ class DepthLimitExceeded(Exception):
     pass
 
 
+class CompiledClause(NamedTuple):
+    """A clause as consulting leaves it: its head split into two patterns.
+
+    ``k`` numbers the clause among its strategy's clauses, or among all
+    clauses of its predicate's name, from 1.  ``head_in`` is what a
+    selected literal's input is matched against: a rule's strategy followed
+    by its lhs, or a predicate's ``+`` arguments.  ``head_out`` is a rule's
+    rhs, or a predicate's ``-`` arguments.
+    """
+
+    k: int
+    head_in: Hedge
+    head_out: Hedge
+    body: Body
+    line: int
+
+
+_by_k = attrgetter("k")
+
+
+class ClauseIndex:
+    """One strategy's (or one predicate arity's) clauses, by lead symbol.
+
+    A clause's lead is item ``skip`` of its ``head_in``: the first lhs item
+    of a rule (``skip`` 1, past the strategy), the first ``+`` argument of a
+    predicate (``skip`` 0).  ``keyed[a]`` holds the clauses whose lead is an
+    application of the symbol ``a``; ``var_led`` those whose lead is a
+    variable or has a variable head (``i_X``, ``s_X``, ``f_F(...)``,
+    ``c_X(...)``); ``empty`` those with no lead.  Each is in source order.
+    """
+
+    __slots__ = ("skip", "keyed", "var_led", "empty")
+
+    def __init__(self, clauses, skip: int):
+        self.skip = skip
+        keyed, var_led, empty = {}, [], []
+        for clause in clauses:
+            items = clause.head_in.items
+            lead = items[skip] if len(items) > skip else None
+            if lead is None:
+                empty.append(clause)
+            elif isinstance(lead, Apply) and isinstance(lead.head, str):
+                keyed.setdefault(lead.head, []).append(clause)
+            else:
+                var_led.append(clause)
+        self.keyed = {symbol: tuple(group) for symbol, group in keyed.items()}
+        self.var_led = tuple(var_led)
+        self.empty = tuple(empty)
+
+    def select(self, subject: Hedge):
+        """The clauses whose ``head_in`` may match the ground ``subject``.
+
+        They come in source order.  Exactly the clauses whose lead is absent
+        while the subject's is not, or is another symbol, are left out.
+        """
+        items = subject.items
+        own = self.keyed.get(items[self.skip].head, ()) \
+            if len(items) > self.skip else self.empty
+        if not self.var_led:
+            return own
+        if not own:
+            return self.var_led
+        return heapq.merge(own, self.var_led, key=_by_k)
+
+
 @dataclass
 class Program:
-    """A consulted program, immutable once built."""
+    """A consulted program, immutable once built.
 
-    items: tuple = ()
-    rho: Dict[str, List[RhoClause]] = field(default_factory=dict)
-    preds: Dict[str, List[PredClause]] = field(default_factory=dict)
+    ``rho`` maps each strategy symbol to the :class:`ClauseIndex` of its
+    clauses; ``preds`` maps each predicate name to a dict from arity to the
+    index of its clauses of that arity.  A name's dict holds only arities
+    that have a declared mode, and may be empty.
+    """
+
+    rho: Dict[str, ClauseIndex] = field(default_factory=dict)
+    preds: Dict[str, Dict[int, ClauseIndex]] = field(default_factory=dict)
     operators: OperatorTable = field(default_factory=default_operators)
     modes: ModeTable = field(default_factory=ModeTable)
     violations: tuple = ()
-
-    def rho_clauses(self, symbol: str) -> List[RhoClause]:
-        return self.rho.get(symbol, [])
-
-    def pred_clauses(self, name: str) -> List[PredClause]:
-        return self.preds.get(name, [])
 
 
 def consult(source: SourceProgram, operators: Optional[OperatorTable] = None,
             strict: bool = True) -> Program:
     """Build a runnable program from parsed source items.
 
-    Abbreviations expand to their defining clauses in place.  In strict
-    mode any well-modedness violation raises :class:`ConsultError`; in
-    lenient mode the violations are recorded on the program instead.
+    Abbreviations expand to their defining clauses in place, and every
+    clause is compiled into a :class:`CompiledClause`.  In strict mode any
+    well-modedness violation raises :class:`ConsultError`; in lenient mode
+    the violations are recorded on the program instead.
     """
     violations = check_program(source)
     if strict and violations:
@@ -129,30 +202,50 @@ def consult(source: SourceProgram, operators: Optional[OperatorTable] = None,
             "program is not well-moded:\n  "
             + "\n  ".join(str(v) for v in violations),
             violations)
-    program = Program(
-        items=tuple(source),
-        operators=operators if operators is not None else default_operators(),
-        modes=mode_table_of(source),
-        violations=tuple(violations),
-    )
+    modes = mode_table_of(source)
+    rules, preds = {}, {}
     for item in source:
         if isinstance(item, Abbreviation):
             item = expand_abbreviation(item)
         if isinstance(item, RhoClause):
-            symbol = item.head.strategy.head
+            head = item.head
+            symbol = head.strategy.head
             if symbol in strategies.COMBINATORS:
                 raise ConsultError(
                     f"strategy {symbol!r} is a built-in combinator and "
                     f"cannot be redefined (line {item.line})")
-            program.rho.setdefault(symbol, []).append(item)
+            group = rules.setdefault(symbol, [])
+            group.append(CompiledClause(
+                len(group) + 1, Hedge((head.strategy,) + head.lhs.items),
+                head.rhs, item.body, item.line))
         elif isinstance(item, PredClause):
             name = item.head.head
             if name in BUILTIN_PREDICATES:
                 raise ConsultError(
                     f"predicate {name!r} is built-in and cannot be "
                     f"redefined (line {item.line})")
-            program.preds.setdefault(name, []).append(item)
-    return program
+            preds.setdefault(name, []).append(item)
+    return Program(
+        rho={symbol: ClauseIndex(group, 1) for symbol, group in rules.items()},
+        preds={name: _compile_predicate(clauses, modes)
+               for name, clauses in preds.items()},
+        operators=operators if operators is not None else default_operators(),
+        modes=modes,
+        violations=tuple(violations),
+    )
+
+
+def _compile_predicate(clauses, modes: ModeTable) -> Dict[int, ClauseIndex]:
+    """The clauses of one predicate name, indexed per arity that has a mode."""
+    by_arity = {}
+    for k, clause in enumerate(clauses, 1):
+        args = clause.head.args.items
+        mode = modes.lookup(clause.head.head, len(args))
+        if mode is not None:
+            by_arity.setdefault(len(args), []).append(CompiledClause(
+                k, Hedge(args[i - 1] for i in mode[0]),
+                Hedge(args[i - 1] for i in mode[1]), clause.body, clause.line))
+    return {arity: ClauseIndex(group, 0) for arity, group in by_arity.items()}
 
 
 def consult_text(text: str, strict: bool = True,
@@ -272,7 +365,7 @@ class Session:
     def fresh_var(self, kind: str, stem: str) -> Var:
         return Var(kind, f"{stem}#{next(self._fresh)}")
 
-    def rename_clause(self, clause, sigma, head_out: Hedge, cut):
+    def rename_clause(self, clause: CompiledClause, sigma, cut):
         """A clause's ``(body, head_out)`` under its matcher ``sigma``.
 
         In the same pass, ``!`` becomes ``cut`` and each variable ``sigma``
@@ -281,7 +374,7 @@ class Session:
         mapping = _Renaming(sigma, self._fresh)
         body = tuple(cut if isinstance(lit, CutLiteral)
                      else apply_to_literal(mapping, lit) for lit in clause.body)
-        return body, apply_subst(mapping, head_out)
+        return body, apply_subst(mapping, clause.head_out)
 
     def report(self, message: str) -> None:
         self.runtime_errors.append(message)
@@ -398,7 +491,10 @@ class _Machine:
     frame is advanced, an exhausted frame pops, and an empty goal yields its
     bindings as an answer.  Cut truncates the stack to a recorded depth.
     Sub-machines (negation, strategy probes) recurse only as deep as
-    strategy terms nest, never with the derivation.
+    strategy terms nest, never with the derivation.  A search closed before
+    it is exhausted (a probe that wanted one answer) drops its frames at
+    once: they refer back to the machine, and would otherwise wait for the
+    cycle collector.
     """
 
     def __init__(self, session: Session, goal, level: int = 0):
@@ -411,19 +507,22 @@ class _Machine:
         stack = self.stack
         session = self.session
         limit = session.depth_limit
-        while stack:
-            item = next(stack[-1], None)
-            if item is None:
-                stack.pop()
-                continue
-            goal, bindings = item
-            if not goal:
-                yield bindings
-                continue
-            if limit is not None and len(stack) >= limit:
-                raise DepthLimitExceeded(
-                    f"choice-point stack exceeded {limit} frames")
-            stack.append(self._expand(goal[0], goal[1:], bindings))
+        try:
+            while stack:
+                item = next(stack[-1], None)
+                if item is None:
+                    stack.pop()
+                    continue
+                goal, bindings = item
+                if not goal:
+                    yield bindings
+                    continue
+                if limit is not None and len(stack) >= limit:
+                    raise DepthLimitExceeded(
+                        f"choice-point stack exceeded {limit} frames")
+                stack.append(self._expand(goal[0], goal[1:], bindings))
+        finally:
+            stack.clear()
 
     # -- literal expansion
 
@@ -477,9 +576,11 @@ class _Machine:
         if not (isinstance(strategy, Apply) and isinstance(strategy.head, str)):
             self.session.report(f"strategy {strategy!r} has no head symbol")
             return iter(())
-        clauses = self.session.program.rho_clauses(strategy.head)
-        return self._resolve(lit, rest, bindings, enumerate(clauses, 1),
-                             lambda h: ((h.strategy,), h.lhs.items, h.rhs.items))
+        index = self.session.program.rho.get(strategy.head)
+        if index is None:
+            return iter(())
+        return self._resolve(lit, rest, bindings, index,
+                             Hedge((strategy,) + lhs.items), lit.rhs)
 
     def _negation(self, lit: RhoLiteral, rest, bindings) -> Iterator:
         if self.session.debug_checks:
@@ -506,52 +607,43 @@ class _Machine:
         arity = len(lit.args)
         if name in BUILTIN_PREDICATES:
             return self._builtin(lit, rest, bindings)
-        clauses = self.session.program.pred_clauses(name)
-        if not clauses:
+        program = self.session.program
+        by_arity = program.preds.get(name)
+        if by_arity is None:
             self.session.report(f"unknown predicate {name}/{arity}")
             return iter(())
-        mode = self.session.program.modes.lookup(name, arity)
+        mode = program.modes.lookup(name, arity)
         if mode is None:
             self.session.report(f"no mode declared for {name}/{arity}")
             return iter(())
-        ins, outs = sorted(mode[0]), sorted(mode[1])
-        return self._resolve(
-            lit, rest, bindings,
-            ((k, c) for k, c in enumerate(clauses, 1) if len(c.head.args) == arity),
-            lambda h: ((), tuple(h.args.items[i - 1] for i in ins),
-                       tuple(h.args.items[i - 1] for i in outs)))
-
-    def _resolve(self, lit, rest, bindings, numbered, view) -> Iterator:
-        """Resolve a selected literal against ``numbered`` ``(k, clause)`` pairs.
-
-        ``view`` splits the literal or a clause head into a prefix, its input
-        items and its output items.  A clause is skipped unbuilt when its
-        first input item has another head symbol than the literal's; else its
-        un-renamed prefix and inputs are matched against the literal's.  A
-        literal whose input is not ground and hole-free is reported and
-        fails; for a rule literal, ``_positive_rho`` has checked that already,
-        before any combinator expanded it.
-        """
-        prefix, ins, outs = view(lit)
-        subject, out_pattern = Hedge(prefix + ins), Hedge(outs)
+        args = lit.args.items
+        subject = Hedge(args[i - 1] for i in mode[0])
         if not subject.ground or subject.holes:
             return self._bad_input(lit)
-        lead = getattr(ins[0], "head", None) if ins else None
+        index = by_arity.get(arity)
+        if index is None:
+            return iter(())
+        return self._resolve(lit, rest, bindings, index, subject,
+                             Hedge(args[i - 1] for i in mode[1]))
+
+    def _resolve(self, lit, rest, bindings, index: ClauseIndex, subject: Hedge,
+                 out_pattern: Hedge) -> Iterator:
+        """Resolve a selected literal against the clauses of ``index``.
+
+        ``subject`` is the literal's ground input, laid out like the clauses'
+        ``head_in``, and ``out_pattern`` its output.  Each clause the index
+        selects has its un-renamed ``head_in`` matched against ``subject``.
+        """
+        clauses = index.select(subject)
         cut = _Cut(len(self.stack))
 
         def alts():
-            for k, clause in numbered:
-                prefix, ins, outs = view(clause.head)
-                first = ins[0] if ins else None
-                if (first is None and lead is not None) or (isinstance(first, Apply)
-                        and isinstance(first.head, str) and first.head != lead):
-                    continue
-                for j, sigma in enumerate(match_hedge(Hedge(prefix + ins), subject), 1):
+            for clause in clauses:
+                for j, sigma in enumerate(match_hedge(clause.head_in, subject), 1):
                     if self.tracing:
-                        self._trace(f"{self._lit_text(lit)} | clause {k}, "
+                        self._trace(f"{self._lit_text(lit)} | clause {clause.k}, "
                                     f"matcher {j}")
-                    body, out = self.session.rename_clause(
-                        clause, sigma, Hedge(outs), cut)
+                    body, out = self.session.rename_clause(clause, sigma, cut)
                     yield body + (ForcedMatch(out_pattern, out),) + rest, bindings
         return alts()
 

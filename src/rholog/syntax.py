@@ -248,8 +248,9 @@ class Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # ``next`` never moves past the final ``eof`` token.
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -193,18 +193,26 @@ def singleton(t) -> Hedge:
 
 
 def vars_of(value) -> Iterator[Var]:
-    """All variable occurrences in a term, hedge, or hedge element."""
-    if isinstance(value, Var):
-        yield value
-    elif isinstance(value, Apply):
-        if isinstance(value.head, Var):
-            yield value.head
-        yield from vars_of(value.args)
-    elif isinstance(value, Hedge):
-        for item in value:
-            yield from vars_of(item)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"not a syntax value: {value!r}")
+    """All variable occurrences in a term, hedge, or hedge element, in pre-order.
+
+    The walk keeps its own stack, so nesting depth costs no recursion, and
+    it never enters a ground sub-value.
+    """
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, Var):
+            yield value
+        elif isinstance(value, Apply):
+            if not value.ground:
+                if isinstance(value.head, Var):
+                    yield value.head
+                stack.extend(reversed(value.args.items))
+        elif isinstance(value, Hedge):
+            if not value.ground:
+                stack.extend(reversed(value.items))
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"not a syntax value: {value!r}")
 
 
 def is_ground(value) -> bool:

@@ -53,31 +53,35 @@ STRATEGY_VAR_ESCAPE = "strategy-var-escape"
 UNKNOWN_PREDICATE = "unknown-predicate"
 
 _BUILTIN_MODES = {
-    ("is", 2): (frozenset({2}), frozenset({1})),
-    ("<", 2): (frozenset({1, 2}), frozenset()),
-    (">", 2): (frozenset({1, 2}), frozenset()),
-    ("=<", 2): (frozenset({1, 2}), frozenset()),
-    (">=", 2): (frozenset({1, 2}), frozenset()),
-    ("=:=", 2): (frozenset({1, 2}), frozenset()),
-    ("=\\=", 2): (frozenset({1, 2}), frozenset()),
-    ("true", 0): (frozenset(), frozenset()),
-    ("fail", 0): (frozenset(), frozenset()),
-    ("write", 1): (frozenset({1}), frozenset()),
-    ("nl", 0): (frozenset(), frozenset()),
+    ("is", 2): ((2,), (1,)),
+    ("<", 2): ((1, 2), ()),
+    (">", 2): ((1, 2), ()),
+    ("=<", 2): ((1, 2), ()),
+    (">=", 2): ((1, 2), ()),
+    ("=:=", 2): ((1, 2), ()),
+    ("=\\=", 2): ((1, 2), ()),
+    ("true", 0): ((), ()),
+    ("fail", 0): ((), ()),
+    ("write", 1): ((1,), ()),
+    ("nl", 0): ((), ()),
 }
 
 BUILTIN_PREDICATES = frozenset(name for name, _ in _BUILTIN_MODES)
 
 
 class ModeTable:
-    """Input/output positions per predicate name and arity."""
+    """Input/output positions per predicate name and arity.
+
+    ``lookup`` gives ``(ins, outs)``: the 1-based ``+`` and ``-`` positions,
+    each a tuple in ascending order.
+    """
 
     def __init__(self):
         self._modes = dict(_BUILTIN_MODES)
 
     def declare(self, directive: ModeDirective) -> None:
-        ins = frozenset(i for i, s in enumerate(directive.spec, 1) if s == "+")
-        outs = frozenset(i for i, s in enumerate(directive.spec, 1) if s == "-")
+        ins = tuple(i for i, s in enumerate(directive.spec, 1) if s == "+")
+        outs = tuple(i for i, s in enumerate(directive.spec, 1) if s == "-")
         self._modes[(directive.name, len(directive.spec))] = (ins, outs)
 
     def lookup(self, name: str, arity: int):

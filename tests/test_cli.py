@@ -173,13 +173,53 @@ class TestMainEntry:
         assert "Traceback" not in run.stderr
 
 
-def _run_module(*args):
+def _run_module(*args, stdin=""):
     """``python -m rholog`` with ``args``, on the rholog under test."""
     src = str(Path(rholog.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
     return subprocess.run([sys.executable, "-m", "rholog", *args],
-                          capture_output=True, encoding="utf-8",
+                          input=stdin, capture_output=True, encoding="utf-8",
                           env=env, timeout=60)
+
+
+#: ``f(...f(a)...)``, 5,000 applications deep.
+DEEP_TERM = "f(" * 5000 + "a" + ")" * 5000
+
+
+class TestRecursionBackstop:
+    """Whatever exhausts Python's recursion limit ends in a rholog error."""
+
+    @pytest.mark.parametrize("program, query", [
+        ("loop :: i_X ==> i_Y :- first_one(loop) :: f(i_X) ==> i_Y.",
+         "loop :: a ==> i_Y"),
+        ("grow :: i_X ==> i_Y :- nf(grow) :: f(i_X) ==> i_Y.",
+         "grow :: a ==> i_Y"),
+        ("neg :: i_X ==> i_X :- neg :: f(i_X) =\\=> i_.",
+         "neg :: a ==> i_Y"),
+    ], ids=["first_one", "nf", "negation"])
+    def test_recursion_through_probes_exit_2(self, tmp_path, program, query):
+        # Each derivation step nests one more strategy probe.
+        path = tmp_path / "probe.rholog"
+        path.write_text(program + "\n")
+        run = _run_module("--consult", str(path), "--query", query,
+                          "--depth-limit", "1000")
+        assert run.returncode == 2
+        assert "error: nested too deeply" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_deep_term_exit_2(self):
+        run = _run_module("--query", f"id :: {DEEP_TERM} ==> i_X")
+        assert run.returncode == 2
+        assert "error: nested too deeply" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_shell_reports_and_goes_on(self):
+        run = _run_module(stdin=f"id :: {DEEP_TERM} ==> i_X.\n"
+                                "id :: a ==> i_X.\n\nhalt.\n")
+        assert run.returncode == 0
+        assert "error: nested too deeply" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert "i_X = a" in run.stdout
 
 
 def repl_session(script, files=()):

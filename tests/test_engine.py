@@ -2,10 +2,13 @@
 built-ins, consulting, and laziness."""
 
 import io
+import random
+import re
 
 import pytest
 
 from rholog.engine import (
+    CompiledClause,
     ConsultError,
     DepthLimitExceeded,
     ModeError,
@@ -13,10 +16,10 @@ from rholog.engine import (
     consult,
     consult_text,
 )
-from rholog.program import RhoClause
+from rholog.matching import match_hedge
 from rholog.strategies import corpus_source
 from rholog.syntax import parse_hedge, parse_program, parse_term
-from rholog.terms import Hedge
+from rholog.terms import Hedge, apply_subst
 
 from conftest import a
 
@@ -97,6 +100,60 @@ class TestClauseSelection:
             parse_term(t) for t in ("two(m)", "three")]
         assert hedges(session, "kp(i_R, k(b))") == [
             parse_term(t) for t in ("two(k(b))", "three")]
+
+    # Clause lhs and the rhs items that show its bindings, one per kind of
+    # lead: symbol, i_X, s_X, f_F(...), c_X(...) and eps.
+    LHS = [
+        ("a", ""), ("(a, s_T)", "s_T"), ("b(i_X)", "i_X"),
+        ("(b(s_U), s_T)", "s_U"), ("c", ""),
+        ("i_X", "i_X"), ("(i_X, s_T)", "i_X"),
+        ("s_X", "s_X"), ("(s_X, a, s_Y)", "s_Y"),
+        ("f_F(s_A)", "f_F(s_A)"), ("(f_F, s_T)", "s_T"),
+        ("c_X(i_Y)", "c_X(a)"), ("(c_X(a), s_T)", "c_X(b)"),
+        ("eps", ""),
+    ]
+    # Keyed by some clause's lead, by none, and empty.
+    SUBJECTS = ["a", "(a, b)", "b(c)", "(b(a, a), c)", "c", "(c, a, b)",
+                "d", "(g(a), a)", "eps"]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_selection_keeps_source_order(self, seed):
+        # Against an oracle that tries every clause of the strategy in
+        # source order and, for each matcher of its lhs, takes its rhs image.
+        rng = random.Random(seed)
+        lines = []
+        for k in range(rng.randint(4, 14)):
+            lhs, shown = rng.choice(self.LHS)
+            rhs = f"(t{k}, {shown})" if shown else f"t{k}"
+            lines.append(f"{rng.choice(['rule', 'rule', 'other'])} :: "
+                         f"{lhs} ==> {rhs}.")
+        source, table = parse_program("\n".join(lines))
+        session = Session(consult(source, table))
+        rules = [c.head for c in source.items if c.head.strategy == a("rule")]
+        for text in self.SUBJECTS:
+            subject = parse_hedge(text)
+            expected = [apply_subst(sigma, head.rhs) for head in rules
+                        for sigma in match_hedge(head.lhs, subject)]
+            got = [ans["s_X"]
+                   for ans in session.solve_text(f"rule :: {text} ==> s_X")]
+            assert got == expected, (lines, text)
+
+    def test_predicate_arities_keep_their_clause_numbers(self):
+        trace = io.StringIO()
+        session = Session(consult_text(
+            ":- mode(p(+, -)).\n:- mode(p(+, +, -)).\n"
+            "p(a, one).\np(a, b, two).\np(i_X, three(i_X)).\n"
+            "p(i_X, i_Y, four(i_Y)).\np(a, five).\np(c, b, six).\n"),
+            trace=trace)
+        assert hedges(session, "p(a, i_R)") == [
+            parse_term(t) for t in ("one", "three(a)", "five")]
+        assert hedges(session, "p(a, b, i_R)") == [
+            parse_term(t) for t in ("two", "four(b)")]
+        assert hedges(session, "p(c, b, i_R)") == [
+            parse_term(t) for t in ("four(b)", "six")]
+        # k counts every clause of p, whatever its arity.
+        assert re.findall(r"clause (\d+), matcher 1", trace.getvalue()) == [
+            "1", "3", "5", "2", "4", "4", "6"]
 
     def test_clause_local_variables_stay_apart(self):
         # i_N is bound only by the body, and five activations of the second
@@ -249,22 +306,36 @@ class TestConsult:
     def test_abbreviation_expands_to_clause(self):
         source, table = parse_program("flatten := nf(flatten_one).")
         program = consult(source, table)
-        (clause,) = program.rho_clauses("flatten")
-        assert isinstance(clause, RhoClause)
+        index = program.rho["flatten"]
+        (clause,) = index.var_led
+        assert not index.keyed and not index.empty
+        assert isinstance(clause, CompiledClause)
+        assert (clause.k, clause.line) == (1, 1)
         (body_lit,) = clause.body
         assert body_lit.strategy == parse_term("nf(flatten_one)")
         # head and body share the same in/out variables
-        assert clause.head.lhs == body_lit.lhs
-        assert clause.head.rhs == body_lit.rhs
+        assert clause.head_in == Hedge((a("flatten"),) + body_lit.lhs.items)
+        assert clause.head_out == body_lit.rhs
 
     def test_empty_source(self):
         program = consult_text("")
         assert program.rho == {} and program.preds == {}
 
     def test_clause_groups_keep_order(self):
-        program = consult_text(corpus_source("examples/strat.rholog"))
-        assert [c.head.rhs for c in program.rho_clauses("strat")] == [
+        source, table = parse_program(corpus_source("examples/strat.rholog"))
+        program = consult(source, table)
+        index = program.rho["strat"]
+        assert not index.var_led and not index.empty
+        clauses = index.keyed["f"]
+        assert index.select(parse_hedge("(strat, f(a))")) == clauses
+        assert [c.k for c in clauses] == [1, 2]
+        assert [c.head_in for c in clauses] == [
+            parse_hedge("(strat, f(i_X))"), parse_hedge("(strat, f(f(i_X)))")]
+        assert [c.head_out for c in clauses] == [
             parse_hedge("g(i_X)"), parse_hedge("i_X")]
+        # Each is the rule's own rhs hedge, not a copy.
+        assert all(c.head_out is item.head.rhs
+                   for c, item in zip(clauses, source.items))
 
     def test_combinator_shadowing_rejected(self):
         with pytest.raises(ConsultError):

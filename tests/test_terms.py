@@ -8,6 +8,7 @@ from rholog.terms import (
     HOLE,
     Apply,
     Hedge,
+    Var,
     apply_context,
     apply_subst,
     hole_count,
@@ -229,3 +230,50 @@ def test_cached_facts_agree_with_a_full_walk(left, right, shell, image, data):
             assert v.holes == _holes_by_walk(v)
             if v.ground:
                 assert apply_subst(sigma, v) is v
+
+
+# -- variable occurrences ----------------------------------------------------
+
+def _var_terms():
+    """Terms with variables of every kind, several names each, at any depth."""
+    leaves = st.one_of(_terms(), st.sampled_from(
+        [iv("X"), iv("Y"), HOLE, Apply(fv("F")), Apply(fv("G"), h(a("a")))]))
+
+    def grow(children):
+        items = st.lists(st.one_of(children, st.sampled_from([sv("S"), sv("T")])),
+                         max_size=3)
+        return st.one_of(
+            st.tuples(st.sampled_from(["f", "g", fv("F"), fv("G")]), items).map(
+                lambda hw: Apply(hw[0], Hedge(hw[1]))),
+            st.tuples(st.sampled_from([cv("C"), cv("D")]), children).map(
+                lambda cw: Apply(cw[0], singleton(cw[1]))))
+    return st.recursive(leaves, grow, max_leaves=10)
+
+
+def _vars_by_recursion(value):
+    """Pre-order variable occurrences: an application's head, then its arguments."""
+    if isinstance(value, Var):
+        yield value
+    elif isinstance(value, Apply):
+        if isinstance(value.head, Var):
+            yield value.head
+        yield from _vars_by_recursion(value.args)
+    else:
+        for item in value.items:
+            yield from _vars_by_recursion(item)
+
+
+@given(st.lists(st.one_of(_var_terms(), st.sampled_from([sv("S"), sv("T")])),
+                max_size=4))
+def test_vars_of_is_the_pre_order_walk(items):
+    hedge = Hedge(items)
+    assert list(vars_of(hedge)) == list(_vars_by_recursion(hedge))
+    for value in _nested(hedge):
+        assert list(vars_of(value)) == list(_vars_by_recursion(value))
+
+
+def test_vars_of_deep_term_needs_no_recursion():
+    t = iv("X")
+    for _ in range(10_000):
+        t = a("f", t)
+    assert list(vars_of(t)) == [iv("X")]
