@@ -63,7 +63,7 @@ def run_batch(files: List[str], query_text: Optional[str], *,
 
     try:
         source, table = read_files(files)
-    except (FileNotFoundError, OSError) as exc:
+    except (OSError, ConsultError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except ParseError as exc:
@@ -180,14 +180,11 @@ class Repl:
             source, table = read_files([name], self.table.clone())
             merged = SourceProgram(list(self.items.items) + list(source.items))
             program = consult(merged, table, strict=not self.lenient)
-        except (FileNotFoundError, OSError) as exc:
+        except (OSError, ConsultError) as exc:
             print(f"error: {exc}", file=self.err)
             return False
         except ParseError as exc:
             print(f"syntax error: {exc}", file=self.err)
-            return False
-        except ConsultError as exc:
-            print(f"error: {exc}", file=self.err)
             return False
         for v in program.violations:
             print(f"warning: {v}", file=self.err)
@@ -265,6 +262,13 @@ class Repl:
             self._write("\n% interrupted\n")
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of counts and limits: a whole number of at least 1."""
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rholog",
@@ -274,7 +278,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--query", metavar="TEXT", help="query to run in batch mode")
     parser.add_argument("--all", action="store_true",
                         help="print every answer instead of the first")
-    parser.add_argument("--max-answers", type=int, metavar="N",
+    parser.add_argument("--max-answers", type=_positive_int, metavar="N",
                         help="print at most N answers")
     parser.add_argument("--check", action="store_true",
                         help="only check the consulted files for well-modedness")
@@ -282,7 +286,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="report mode violations as warnings and run anyway")
     parser.add_argument("--trace", action="store_true",
                         help="log each derivation step to stderr")
-    parser.add_argument("--depth-limit", type=int, metavar="N",
+    parser.add_argument("--depth-limit", type=_positive_int, metavar="N",
                         help="abort derivations deeper than N choice points")
     return parser
 

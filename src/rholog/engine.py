@@ -39,6 +39,7 @@ along two derivations appears twice.
 
 from __future__ import annotations
 
+import codecs
 import heapq
 import itertools
 import os
@@ -66,6 +67,7 @@ from .program import (
 )
 from .syntax import (
     OperatorTable,
+    ParseError,
     default_operators,
     format_literal,
     format_value,
@@ -260,7 +262,9 @@ def read_files(paths, operators: Optional[OperatorTable] = None):
     Operator directives carry over from file to file, starting from
     ``operators`` (which is updated in place) or the default table.  Each
     path names a file or, failing that, a shipped corpus entry, so
-    ``examples/strat.rholog`` works from any directory.
+    ``examples/strat.rholog`` works from any directory.  Files are UTF-8,
+    with or without a byte-order mark; a file that is not raises
+    :class:`ConsultError`, and a syntax error names the file it is in.
     """
     table = operators if operators is not None else default_operators()
     items = SourceProgram()
@@ -270,8 +274,20 @@ def read_files(paths, operators: Optional[OperatorTable] = None):
             path = strategies.corpus_path(name)
             if not path.is_file():
                 raise FileNotFoundError(f"no such program file: {name}")
-        with open(path, "r", encoding="utf-8") as handle:
-            source, table = parse_program(handle.read(), table)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+            raise ConsultError(f"cannot read {name}: not valid UTF-8 "
+                               f"at byte offset {exc.start + bom}") from None
+        # Universal newlines, as reading in text mode gives them.
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        try:
+            source, table = parse_program(text, table)
+        except ParseError as exc:
+            raise ParseError(exc.message, exc.line, exc.col, name) from None
         items.items.extend(source.items)
     return items, table
 

@@ -19,13 +19,20 @@ Operator parsing follows the usual priority/fixity discipline with
 priorities 1..1200; arguments and hedge elements are parsed at priority 999,
 so commas always separate elements.  Directives take effect for the rest of
 the parse, and the resulting table drives printing, which round-trips.
+
+The lexer is one regular expression matched token by token.  A token is a
+plain tuple ``(type, value, offset, quoted)``; line and column come from the
+offset only for an error or an item's line.  Terms are parsed by operator
+precedence on an explicit stack (Pratt 1973): an open group or an operator
+awaiting its operand is a frame on a list, so nesting depth costs no Python
+recursion.  Items, which do not nest, are parsed by recursive descent.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 from .program import (
@@ -53,11 +60,13 @@ from .terms import (
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"{message} (line {line}, column {col})" if line else message)
-        self.message = message
-        self.line = line
-        self.col = col
+    def __init__(self, message: str, line: int = 0, col: int = 0,
+                 file: Optional[str] = None):
+        where = [file] if file else []
+        if line:
+            where.append(f"line {line}, column {col}")
+        super().__init__(f"{message} ({', '.join(where)})" if where else message)
+        self.message, self.line, self.col, self.file = message, line, col, file
 
 
 # ---------------------------------------------------------------------------
@@ -119,132 +128,105 @@ def default_operators() -> OperatorTable:
 # ---------------------------------------------------------------------------
 # Lexer
 
-
-@dataclass(frozen=True)
-class Token:
-    type: str            # atom | var | number | punct | end | eof
-    value: object
-    line: int
-    col: int
-    quoted: bool = False
-
+#: A token is the tuple ``(type, value, offset, quoted)``: ``type`` is atom,
+#: var, number, punct, end or eof, and ``offset`` indexes the source text.
+Token = Tuple[str, object, int, bool]
 
 _SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
 
+# Layout (whitespace, and comments running to the end of the line, so a
+# token that fails never backtracks into one), then one group per token
+# kind, tried in order; ``name`` is the common case of ``word`` that needs no
+# check.  ``\s``, ``\w`` and ``\d`` match exactly what ``str.isspace``,
+# ``str.isalnum`` (or ``_``) and ``str.isdecimal`` accept.
+_TOKEN = re.compile(r"""(?:\s+|%[^\n]*(?=\n|\Z))*(?:
+     (?P<var>[iscf]_\w*)
+    |(?P<name>[a-z]\w*)
+    |(?P<punct>[(),])
+    |(?P<end>\.(?=[\s%]|\Z))
+    |(?P<symbol>[-+*/\\^<>=~:.?@\#&$]+)
+    |(?P<word>(?!\d)\w+)
+    |(?P<solo>[!;])
+    |(?P<quoted>'(?:[^'\n]|'')*'(?!'))
+    |(?P<number>\d+)
+    |(?P<eof>\Z)
+    |(?P<bad>[\s\S]))""", re.VERBOSE)
+
+
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """The (line, column) of ``offset`` in ``text``, both counted from 1."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
+
 
 def tokenize(text: str) -> List[Token]:
-    # Anonymous variables are numbered per text: clause variables are
-    # renamed on activation, so names need only be unique within a text.
+    # One Var per named variable: clause variables are renamed on
+    # activation, so names need only be unique within a text.  Anonymous
+    # variables are numbered, each occurrence fresh.
+    named: dict = {}
     anon_counter = itertools.count()
     tokens: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def error(msg):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in "(),":
-            tokens.append(Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in "!;":
-            tokens.append(Token("atom", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    error("unterminated quoted atom")
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                if text[j] == "\n":
-                    error("newline in quoted atom")
-                buf.append(text[j])
-                j += 1
-            tokens.append(Token("atom", "".join(buf), start_line, start_col, quoted=True))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():  # exactly the digits int() reads; not '²'
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("number", int(text[i:j]), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "." and (i + 1 >= n or text[i + 1].isspace() or text[i + 1] == "%"):
-            tokens.append(Token("end", ".", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _SYMBOL_CHARS:
-            j = i
-            while j < n and text[j] in _SYMBOL_CHARS:
-                j += 1
-            tokens.append(Token("atom", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if len(word) >= 2 and word[0] in "iscf" and word[1] == "_":
-                kind, rest = word[0], word[2:]
-                if rest:
-                    tokens.append(Token("var", Var(kind, rest), start_line, start_col))
+    append = tokens.append
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        if kind == "name":
+            append(("atom", m[kind], start, False))
+        elif kind == "var":
+            var = named.get(m[kind])
+            if var is None:
+                if pos - start > 2:
+                    var = named[m[kind]] = Var(text[start], text[start + 2:pos])
                 else:
-                    name = f"~{next(anon_counter)}"
-                    tokens.append(Token("var", Var(kind, name, anon=True), start_line, start_col))
-            elif word[0].isupper() or word[0] == "_":
-                error(f"host-language variables are not supported: {word!r} "
-                      "(use i_/s_/f_/c_ prefixed variables)")
-            else:
-                tokens.append(Token("atom", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        error(f"unexpected character {ch!r}")
-    tokens.append(Token("eof", None, line, col))
-    return tokens
+                    var = Var(text[start], f"~{next(anon_counter)}", anon=True)
+            append(("var", var, start, False))
+        elif kind == "punct":
+            append(("punct", text[start], start, False))
+        elif kind == "symbol" or kind == "solo":
+            append(("atom", m[kind], start, False))
+        elif kind == "quoted":
+            append(("atom", text[start + 1:pos - 1].replace("''", "'"), start, True))
+        elif kind == "number":
+            append(("number", int(m[kind]), start, False))
+        elif kind == "end":
+            append(("end", ".", start, False))
+        elif kind == "eof":
+            append(("eof", None, start, False))
+            return tokens
+        elif kind == "word":
+            word = m[kind]
+            if not (word[0].isalpha() or word[0] == "_"):  # '²', '①': not digits int() reads
+                raise ParseError(f"unexpected character {word[0]!r}", *_position(text, start))
+            if word[0].isupper() or word[0] == "_":
+                raise ParseError(
+                    f"host-language variables are not supported: {word!r} "
+                    "(use i_/s_/f_/c_ prefixed variables)", *_position(text, start))
+            append(("atom", word, start, False))
+        elif text[start] == "'":
+            raise ParseError("newline in quoted atom" if "\n" in text[start:]
+                             else "unterminated quoted atom", *_position(text, start))
+        else:
+            raise ParseError(f"unexpected character {text[start]!r}", *_position(text, start))
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+# Frames of ``Parser.parse_term``, tagged by their first element.
+_GROUP = "group"     # (_GROUP, head or None, head token, elements, outer maxp)
+_OPERATOR = "op"     # (_OPERATOR, name, left operand or None, prio, outer maxp, operand token)
+
 
 class Parser:
     def __init__(self, text: str, table: Optional[OperatorTable] = None):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.table = table if table is not None else default_operators()
+        self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
     # -- token plumbing
 
@@ -253,49 +235,50 @@ class Parser:
         return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok.type != "eof":
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
+    def line_of(self, tok: Token) -> int:
+        return bisect_right(self.line_starts, tok[2])
+
     def error(self, message: str, tok: Optional[Token] = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, *_position(self.text, tok[2]))
 
     def at_atom(self, name: str) -> bool:
         tok = self.peek()
-        return tok.type == "atom" and tok.value == name
+        return tok[0] == "atom" and tok[1] == name
+
+    def at_punct(self, ch: str) -> bool:
+        tok = self.peek()
+        return tok[0] == "punct" and tok[1] == ch
 
     def expect_atom(self, name: str) -> Token:
         if not self.at_atom(name):
             self.error(f"expected {name!r}, found {self._describe(self.peek())}")
         return self.next()
 
-    def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if tok.type != "punct" or tok.value != ch:
-            self.error(f"expected {ch!r}, found {self._describe(tok)}")
-        return self.next()
-
     def expect_end(self) -> None:
         tok = self.peek()
-        if tok.type != "end":
+        if tok[0] != "end":
             self.error(f"expected '.', found {self._describe(tok)}")
         self.next()
 
     @staticmethod
     def _describe(tok: Token) -> str:
-        if tok.type == "eof":
+        if tok[0] == "eof":
             return "end of input"
-        if tok.type == "var":
-            return f"variable {tok.value.text()!r}"
-        return repr(str(tok.value))
+        if tok[0] == "var":
+            return f"variable {tok[1].text()!r}"
+        return repr(str(tok[1]))
 
     # -- programs and queries
 
     def parse_program(self) -> SourceProgram:
         items = SourceProgram()
-        while self.peek().type != "eof":
+        while self.peek()[0] != "eof":
             items.items.append(self.parse_item())
         return items
 
@@ -312,7 +295,7 @@ class Parser:
                 body = self.parse_body()
             self.expect_end()
             self._validate_rho_clause(head, body, tok)
-            return RhoClause(head, body, line=tok.line)
+            return RhoClause(head, body, line=self.line_of(tok))
         if self.at_atom(":="):
             self.next()
             strategy = self.parse_operand(999)
@@ -321,13 +304,13 @@ class Parser:
                 self.error("abbreviation name must be a symbol-headed term", tok)
             self._reject_holes(left, tok)
             self._reject_holes(strategy, tok)
-            return Abbreviation(left, strategy, line=tok.line)
+            return Abbreviation(left, strategy, line=self.line_of(tok))
         if self.at_atom(":-"):
             self.next()
             body = self.parse_body()
             self.expect_end()
             return self._pred_clause(left, body, tok)
-        if self.peek().type == "end":
+        if self.peek()[0] == "end":
             self.next()
             return self._pred_clause(left, (), tok)
         self.error(f"expected '::', ':=', ':-' or '.' after clause head, "
@@ -337,7 +320,7 @@ class Parser:
         if not (isinstance(head, Apply) and isinstance(head.head, str)):
             self.error("predicate clause head must be a symbol-headed term", tok)
         self._reject_holes(head, tok)
-        return PredClause(head, body, line=tok.line)
+        return PredClause(head, body, line=self.line_of(tok))
 
     def _validate_rho_clause(self, head: RhoLiteral, body, tok) -> None:
         strategy = head.strategy
@@ -370,7 +353,7 @@ class Parser:
             self.table.declare(prio, fixity, name)
         except ValueError as exc:
             self.error(str(exc), tok)
-        return OpDirective(prio, fixity, name, line=tok.line)
+        return OpDirective(prio, fixity, name, line=self.line_of(tok))
 
     def _mode_directive(self, term: Apply, tok: Token) -> ModeDirective:
         args = list(term.args)
@@ -384,20 +367,20 @@ class Parser:
             if name not in ("+", "-"):
                 self.error("mode argument positions must be + or -", tok)
             spec.append(name)
-        return ModeDirective(template.head, tuple(spec), line=tok.line)
+        return ModeDirective(template.head, tuple(spec), line=self.line_of(tok))
 
     def parse_body(self) -> tuple:
         literals = [self.parse_literal()]
-        while self.peek().type == "punct" and self.peek().value == ",":
+        while self.at_punct(","):
             self.next()
             literals.append(self.parse_literal())
         return tuple(literals)
 
     def parse_query(self) -> Query:
         literals = self.parse_body()
-        if self.peek().type == "end":
+        if self.peek()[0] == "end":
             self.next()
-        if self.peek().type != "eof":
+        if self.peek()[0] != "eof":
             self.error(f"unexpected {self._describe(self.peek())} after query")
         return literals
 
@@ -446,14 +429,8 @@ class Parser:
     # -- hedges and terms
 
     def parse_hedge(self) -> Hedge:
-        elem = self.parse_elem()
-        if isinstance(elem, Hedge):
-            return elem
-        return singleton(elem)
-
-    def parse_elem(self):
-        """A hedge element: a term, or a nested hedge spliced flat."""
-        return self.parse_term(999)
+        elem = self.parse_term(999)
+        return elem if isinstance(elem, Hedge) else singleton(elem)
 
     def parse_operand(self, maxp: int):
         tok = self.peek()
@@ -463,115 +440,134 @@ class Parser:
         return value
 
     def parse_term(self, maxp: int):
-        left, left_prio = self.parse_primary(maxp)
+        """A term, or a hedge element that is a nested hedge, of priority <= ``maxp``."""
+        tokens, pos, stack = self.tokens, self.pos, []
+        table = self.table
         while True:
-            tok = self.peek()
-            if tok.type != "atom":
-                return left
-            entry = self.table.infix(tok.value)
-            if entry is not None:
-                prio, fixity = entry
-                left_max = prio - 1 if fixity in ("xfx", "xfy") else prio
-                right_max = prio if fixity == "xfy" else prio - 1
-                if prio <= maxp and left_prio <= left_max:
-                    if isinstance(left, Hedge):
-                        self.error("a hedge cannot be an operator argument", tok)
-                    self.next()
-                    right = self.parse_operand(right_max)
-                    left = Apply(tok.value, Hedge((left, right)))
-                    left_prio = prio
+            # A primary: a complete operand, or a frame pushed to parse inside.
+            tok = tokens[pos]
+            kind, value = tok[0], tok[1]
+            opens = False
+            if kind == "atom":
+                pos += 1
+                after = tokens[pos]
+                if after[1] == "(" and after[0] == "punct":
+                    if value == "eps" and not tok[3]:
+                        self.error("eps denotes the empty hedge and takes no arguments", tok)
+                    opens = True
+                elif value == "eps" and not tok[3]:
+                    left = EMPTY_HEDGE
+                elif value == "-" and after[0] == "number":
+                    pos += 1
+                    left = Apply(str(-after[1]))
+                else:
+                    entry = table.prefix(value)
+                    if entry is not None and entry[0] <= maxp and self._starts_term(after):
+                        prio, fixity = entry
+                        stack.append((_OPERATOR, value, None, prio, maxp, after))
+                        maxp = prio if fixity == "fy" else prio - 1
+                        continue
+                    left = Apply(value)
+            elif kind == "var":
+                pos += 1
+                after = tokens[pos]
+                if after[1] == "(" and after[0] == "punct":
+                    opens = True
+                elif value.kind == "i" or value.kind == "s":
+                    left = value
+                elif value.kind == "f":
+                    left = Apply(value)
+                else:
+                    self.error("a context variable must be applied to a term", tok)
+            elif kind == "number":
+                pos += 1
+                left = Apply(str(value))
+            elif kind == "punct" and value == "(":
+                opens, value = True, None
+            else:
+                self.error(f"expected a term, found {self._describe(tok)}", tok)
+            if opens:
+                pos += 1
+                after = tokens[pos]
+                if after[1] == ")" and after[0] == "punct":
+                    pos += 1
+                    left = self._close_group(value, tok, [])
+                else:
+                    stack.append((_GROUP, value, tok, [], maxp))
+                    maxp = 999
                     continue
-            entry = self.table.postfix(tok.value)
-            if entry is not None:
-                prio, fixity = entry
-                left_max = prio - 1 if fixity == "xf" else prio
-                if prio <= maxp and left_prio <= left_max:
+            left_prio = 0
+
+            # Infix and postfix operators, then frames completed by ``left``.
+            while True:
+                tok = tokens[pos]
+                if tok[0] == "atom":
+                    entry = table.infix(tok[1])
+                    if entry is not None:
+                        prio, fixity = entry
+                        if prio <= maxp and left_prio <= (prio if fixity == "yfx" else prio - 1):
+                            if isinstance(left, Hedge):
+                                self.error("a hedge cannot be an operator argument", tok)
+                            pos += 1
+                            stack.append((_OPERATOR, tok[1], left, prio, maxp, tokens[pos]))
+                            maxp = prio if fixity == "xfy" else prio - 1
+                            break
+                    entry = table.postfix(tok[1])
+                    if entry is not None:
+                        prio, fixity = entry
+                        if prio <= maxp and left_prio <= (prio - 1 if fixity == "xf" else prio):
+                            if isinstance(left, Hedge):
+                                self.error("a hedge cannot be an operator argument", tok)
+                            pos += 1
+                            left = Apply(tok[1], singleton(left))
+                            left_prio = prio
+                            continue
+                if not stack:
+                    self.pos = pos
+                    return left
+                frame = stack.pop()
+                if frame[0] is _OPERATOR:
+                    _, name, first, left_prio, maxp, operand_tok = frame
                     if isinstance(left, Hedge):
-                        self.error("a hedge cannot be an operator argument", tok)
-                    self.next()
-                    left = Apply(tok.value, singleton(left))
-                    left_prio = prio
+                        self.error("a hedge cannot stand where a term is required", operand_tok)
+                    left = Apply(name, Hedge((left,) if first is None else (first, left)))
                     continue
-            return left
+                elems = frame[3]
+                elems.append(left)
+                if tok[1] == "," and tok[0] == "punct":
+                    pos += 1
+                    stack.append(frame)
+                    maxp = 999
+                    break
+                if tok[1] != ")" or tok[0] != "punct":
+                    self.error(f"expected ')', found {self._describe(tok)}", tok)
+                pos += 1
+                left = self._close_group(frame[1], frame[2], elems)
+                left_prio, maxp = 0, frame[4]
 
-    def parse_primary(self, maxp: int):
-        tok = self.next()
-        if tok.type == "number":
-            return Apply(str(tok.value)), 0
-        if tok.type == "punct" and tok.value == "(":
-            return self._parse_group(tok)
-        if tok.type == "var":
-            return self._parse_var_primary(tok)
-        if tok.type == "atom":
-            return self._parse_atom_primary(tok, maxp)
-        self.error(f"expected a term, found {self._describe(tok)}", tok)
-
-    def _parse_group(self, open_tok: Token):
-        if self.peek().type == "punct" and self.peek().value == ")":
-            self.next()
-            return EMPTY_HEDGE, 0
-        elems = [self.parse_elem()]
-        while self.peek().type == "punct" and self.peek().value == ",":
-            self.next()
-            elems.append(self.parse_elem())
-        self.expect_punct(")")
-        if len(elems) == 1 and not isinstance(elems[0], Hedge):
-            return elems[0], 0
-        return Hedge(elems), 0
-
-    def _parse_var_primary(self, tok: Token):
-        var: Var = tok.value
-        if self.peek().type == "punct" and self.peek().value == "(":
-            self.next()
-            args, _ = self._parse_group(tok)
-            if not isinstance(args, Hedge):
-                args = singleton(args)
-            if var.kind == "f":
-                return Apply(var, args), 0
-            if var.kind == "c":
+    def _close_group(self, head, tok: Token, elems: list):
+        """The value of ``head(elems)``, or of ``(elems)`` when ``head`` is None."""
+        if head is None:
+            if len(elems) == 1 and not isinstance(elems[0], Hedge):
+                return elems[0]
+            return Hedge(elems)
+        args = Hedge(elems)
+        if isinstance(head, Var):
+            if head.kind == "f":
+                return Apply(head, args)
+            if head.kind == "c":
                 if len(args) != 1 or isinstance(args[0], Var) and args[0].kind == "s":
                     self.error("a context variable applies to exactly one term", tok)
-                return Apply(var, args), 0
-            self.error(f"{var.text()} cannot take arguments", tok)
-        if var.kind in ("i", "s"):
-            return var, 0
-        if var.kind == "f":
-            return Apply(var), 0
-        self.error("a context variable must be applied to a term", tok)
-
-    def _parse_atom_primary(self, tok: Token, maxp: int):
-        name = tok.value
-        if name == "eps" and not tok.quoted:
-            if self.peek().type == "punct" and self.peek().value == "(":
-                self.error("eps denotes the empty hedge and takes no arguments", tok)
-            return EMPTY_HEDGE, 0
-        if self.peek().type == "punct" and self.peek().value == "(":
-            self.next()
-            args, _ = self._parse_group(tok)
-            if not isinstance(args, Hedge):
-                args = singleton(args)
-            if name == HOLE_NAME:
-                self.error("hole never takes arguments", tok)
-            return Apply(name, args), 0
-        if name == "-" and self.peek().type == "number":
-            value = self.next().value
-            return Apply(str(-value)), 0
-        entry = self.table.prefix(name)
-        if entry is not None and self._starts_term(self.peek()):
-            prio, fixity = entry
-            if prio <= maxp:
-                arg = self.parse_operand(prio if fixity == "fy" else prio - 1)
-                return Apply(name, singleton(arg)), prio
-        return Apply(name), 0
+                return Apply(head, args)
+            self.error(f"{head.text()} cannot take arguments", tok)
+        if head == HOLE_NAME:
+            self.error("hole never takes arguments", tok)
+        return Apply(head, args)
 
     def _starts_term(self, tok: Token) -> bool:
-        if tok.type in ("number", "var"):
-            return True
-        if tok.type == "punct" and tok.value == "(":
-            return True
-        if tok.type == "atom":
-            return self.table.infix(tok.value) is None or tok.value in ("-",)
-        return False
+        if tok[0] == "atom":
+            return self.table.infix(tok[1]) is None or tok[1] == "-"
+        return tok[0] in ("number", "var") or tok[0] == "punct" and tok[1] == "("
 
 
 def parse_program(text: str, table: Optional[OperatorTable] = None
@@ -588,10 +584,10 @@ def parse_query(text: str, table: Optional[OperatorTable] = None) -> Query:
 def parse_term(text: str, table: Optional[OperatorTable] = None):
     """Parse a single term or parenthesized hedge (no trailing period needed)."""
     parser = Parser(text, table)
-    value = parser.parse_elem()
-    if parser.peek().type == "end":
+    value = parser.parse_term(999)
+    if parser.peek()[0] == "end":
         parser.next()
-    if parser.peek().type != "eof":
+    if parser.peek()[0] != "eof":
         parser.error(f"unexpected {parser._describe(parser.peek())} after term")
     return value
 

@@ -173,6 +173,75 @@ class TestMainEntry:
         assert "Traceback" not in run.stderr
 
 
+class TestProgramFiles:
+    """Files are UTF-8 (a byte-order mark is skipped); errors name the file."""
+
+    def test_undecodable_file_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.rholog"
+        bad.write_bytes(b"p :: a ==> \xff.\n")
+        run = _run_module("--consult", str(bad), "--query", "p :: a ==> i_X")
+        assert run.returncode == 2
+        assert f"error: cannot read {bad}: not valid UTF-8 at byte offset 11" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stdout == ""
+
+    def test_undecodable_file_offset_counts_the_bom(self, tmp_path):
+        bad = tmp_path / "bad.rholog"
+        bad.write_bytes(b"\xef\xbb\xbfp :: a ==> \xff.\n")
+        run = _run_module("--consult", str(bad), "--query", "p :: a ==> i_X")
+        assert run.returncode == 2
+        assert "not valid UTF-8 at byte offset 14" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_shell_reports_undecodable_file_and_goes_on(self, tmp_path):
+        bad = tmp_path / "bad.rholog"
+        bad.write_bytes(b"\xff\n")
+        run = _run_module(stdin=f"consult('{bad}').\nid :: a ==> i_X.\n\nhalt.\n")
+        assert run.returncode == 0
+        assert f"error: cannot read {bad}: not valid UTF-8 at byte offset 0" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert "i_X = a" in run.stdout
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        program = tmp_path / "bom.rholog"
+        program.write_bytes("\ufeffp :: a ==> b.\r\nq :: b ==> c.\n".encode("utf-8"))
+        run = _run_module("--consult", str(program), "--query",
+                          "p :: a ==> i_X, q :: i_X ==> i_Y")
+        assert run.returncode == 0
+        assert run.stdout == "i_X = b\ni_Y = c\n"
+        assert "Traceback" not in run.stderr
+
+    def test_syntax_error_names_the_file(self, tmp_path):
+        program = tmp_path / "typo.rholog"
+        program.write_text("p :: a ==> b.\np :: \u00b2 ==> a.\n", encoding="utf-8")
+        run = _run_module("--consult", str(program), "--query", "p :: a ==> i_X")
+        assert run.returncode == 2
+        assert (f"syntax error: unexpected character '\u00b2' ({program}, "
+                "line 2, column 6)") in run.stderr
+        assert "Traceback" not in run.stderr
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-answers", "-1"), ("--max-answers", "0"), ("--max-answers", "two"),
+        ("--depth-limit", "0"), ("--depth-limit", "-5"), ("--depth-limit", "1.5"),
+    ])
+    def test_not_a_positive_integer_is_a_usage_error(self, flag, value):
+        run = _run_module("--consult", "examples/strat.rholog", flag, value,
+                          "--query", "str1 :: (a, b) ==> s_X")
+        assert run.returncode == 2
+        assert f"argument {flag}: expected a positive integer, got '{value}'" in run.stderr
+        assert "usage: rholog" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stdout == ""
+
+    def test_positive_values_run(self):
+        run = _run_module("--consult", "examples/strat.rholog", "--max-answers", "1",
+                          "--depth-limit", "50", "--query", "str1 :: (a, b) ==> s_X")
+        assert run.returncode == 0
+        assert run.stdout == "s_X = (f(a), b)\n"
+
+
 def _run_module(*args, stdin=""):
     """``python -m rholog`` with ``args``, on the rholog under test."""
     src = str(Path(rholog.__file__).resolve().parents[1])

@@ -238,3 +238,230 @@ class TestRoundTrip:
 def _anon_free(value):
     from rholog.terms import vars_of
     return any(v.anon for v in vars_of(value))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the replaced front end (tests/syntax_oracle.py)
+
+import sys
+from pathlib import Path
+
+import syntax_oracle as oracle
+
+from rholog import syntax
+from rholog.syntax import tokenize
+
+#: Layout, quotes, comments, ends, symbol characters, and characters on
+#: which ``str`` predicates and the old scanner could disagree: NBSP and
+#: ``\x1c`` are whitespace, ``é`` a letter, ``²``/``①`` non-decimal digits.
+_CHARS = list("abfiscg_XZ019 \n\r\t'%.(),!;+-*/\\^<>=~:?@#&$") + \
+    [" ", "\x1c", "é", "²", "①"]
+
+_CORPUS = sorted((Path(syntax.__file__).parent / "corpus").rglob("*.rholog"))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ParseError as exc:
+        return "error", exc.message, exc.line, exc.col
+
+
+def _tokens(text):
+    return [(kind, value, *syntax._position(text, offset), quoted)
+            for kind, value, offset, quoted in tokenize(text)]
+
+
+def _oracle_tokens(text):
+    return [(t.type, t.value, t.line, t.col, t.quoted) for t in oracle.tokenize(text)]
+
+
+def _assert_same_tokens(text):
+    new, old = _outcome(_tokens, text), _outcome(_oracle_tokens, text)
+    if new[0] == old[0] == "ok":
+        # The one deliberate change: eof after a trailing comment sits past
+        # the comment, not on its '%'.
+        last_line = text[text.rfind("\n") + 1:]
+        assert new[1][-1] == ("eof", None, *syntax._position(text, len(text)), False)
+        if "%" not in last_line:
+            assert new[1][-1] == old[1][-1], text
+        new, old = new[1][:-1], old[1][:-1]
+    assert new == old, repr(text)
+
+
+class TestTokenizerOracle:
+    def test_random_strings(self):
+        rng = random.Random(7)
+        for _ in range(6000):
+            _assert_same_tokens("".join(rng.choice(_CHARS)
+                                        for _ in range(rng.randint(0, 24))))
+
+    @pytest.mark.parametrize("path", _CORPUS, ids=lambda p: p.name)
+    def test_corpus_file(self, path):
+        _assert_same_tokens(path.read_text(encoding="utf-8"))
+
+    def test_eof_after_trailing_comment_is_past_it(self):
+        text = "p :: a ==> b.\nq. % last"
+        assert _oracle_tokens(text)[-1][2:4] == (2, 4)
+        assert _tokens(text)[-1][2:4] == (2, 10)
+
+    def test_one_var_object_per_name_and_fresh_anonymous(self):
+        tokens = tokenize("p :: (i_X, i_, i_X, i_) ==> i_X.")
+        named = [v for kind, v, _, _ in tokens if kind == "var" and not v.anon]
+        anon = [v for kind, v, _, _ in tokens if kind == "var" and v.anon]
+        assert len(named) == 3 and all(v is named[0] for v in named)
+        assert len(anon) == 2 and anon[0] != anon[1]
+
+
+# Error-prone choices (bare c_C, hole, i_X(...)) come once, common ones thrice.
+_LEAVES = ["a", "b", "p", "i_X", "s_Y", "s_", "1", "f_F", "'q r'", "v"] * 3 + \
+    ["eps", "'eps'", "hole", "-", "23", "i_", "f_", "c_C", "notish", "bang", "mod"]
+_HEADS = ["f", "g", "p", "f_F", "c_"] * 3 + ["c_C", "i_X", "s_Y", "hole", "eps", "-", "notish"]
+_INFIX = ["+", "-", "*", "mod", "is", "<", "->", "v", "v", "bang", "notish"]
+_PREFIX = ["-", "notish", "notish", "+", "bang", "v"]
+_OPS = [":- op(200, xfy, v).", ":- op(100, fy, notish).", ":- op(150, xf, bang).",
+        ":- mode(p(+, -))."]
+
+
+def _random_term(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return rng.choice(_LEAVES)
+    args = ", ".join(_random_term(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+    if roll < 0.55:
+        return f"{rng.choice(_HEADS)}({args})"
+    if roll < 0.7:
+        return f"({args})"
+    if roll < 0.85:
+        return (f"{_random_term(rng, depth - 1)} {rng.choice(_INFIX)} "
+                f"{_random_term(rng, depth - 1)}")
+    if roll < 0.93:
+        return f"{rng.choice(_PREFIX)} {_random_term(rng, depth - 1)}"
+    return f"{_random_term(rng, depth - 1)} bang"
+
+
+def _random_literal(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return "!"
+    if roll < 0.3:
+        return _random_term(rng, 2)
+    arrow = "=\\=>" if roll < 0.4 else "==>"
+    return (f"{_random_term(rng, 1)} :: {_random_term(rng, 3)} {arrow} "
+            f"{_random_term(rng, 3)}")
+
+
+def _random_item(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(_OPS)
+    if roll < 0.2:
+        return f"{_random_term(rng, 2)} := {_random_term(rng, 2)}."
+    body = ", ".join(_random_literal(rng) for _ in range(rng.randint(0, 2)))
+    if roll < 0.4:
+        return f"{_random_term(rng, 2)}{' :- ' + body if body else ''}."
+    return f"{_random_literal(rng)}{' :- ' + body if body else ''}."
+
+
+def _mutate(rng, text):
+    """Delete, duplicate or insert one character, now and then."""
+    if text and rng.random() < 0.3:
+        i = rng.randrange(len(text))
+        roll = rng.random()
+        if roll < 0.4:
+            return text[:i] + text[i + 1:]
+        if roll < 0.7:
+            return text[:i] + text[i] + text[i:]
+        return text[:i] + rng.choice("(),.'% \n") + text[i:]
+    return text
+
+
+def _program(text, table, parse=syntax.parse_program):
+    items, table = parse(text, table)
+    return [(item, item.line) for item in items.items], table._entries
+
+
+_ORACLE = {_program: lambda text, table: _program(text, table, oracle.parse_program),
+           syntax.parse_query: oracle.parse_query,
+           syntax.parse_term: oracle.parse_term}
+
+
+def _assert_same_parse(parse, text, table):
+    if "%" in text[text.rfind("\n") + 1:]:
+        text += "\n"    # so that eof is not placed after a trailing comment
+    assert _outcome(parse, text, table.clone()) == \
+        _outcome(_ORACLE[parse], text, table.clone()), text
+
+
+class TestParserOracle:
+    @pytest.mark.parametrize("with_ops", [False, True], ids=["default_ops", "declared_ops"])
+    def test_random_texts(self, with_ops):
+        rng = random.Random(29 + with_ops)
+        base = syntax.default_operators()
+        if with_ops:
+            _, base = syntax.parse_program("\n".join(_OPS[:3]))
+        for _ in range(1500):
+            sep = rng.choice([" ", "\n"])
+            program = _mutate(rng, sep.join(_random_item(rng)
+                                            for _ in range(rng.randint(1, 4))))
+            _assert_same_parse(_program, program, base)
+            query = _mutate(rng, ", ".join(_random_literal(rng)
+                                           for _ in range(rng.randint(1, 3))))
+            _assert_same_parse(syntax.parse_query, query, base)
+            _assert_same_parse(syntax.parse_term, _mutate(rng, _random_term(rng, 4)), base)
+
+    @pytest.mark.parametrize("path", _CORPUS, ids=lambda p: p.name)
+    def test_corpus_file(self, path):
+        _assert_same_parse(_program, path.read_text(encoding="utf-8"),
+                           syntax.default_operators())
+
+
+# ---------------------------------------------------------------------------
+# Nesting depth costs no Python recursion
+
+DEEP = 100_000
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run under Python's default limit, whatever earlier tests set."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def _spine(value, name, arity, position):
+    """Follow argument ``position`` of ``name``-applications of ``arity``;
+    return how many there were and the value below them."""
+    depth = 0
+    while isinstance(value, Apply) and value.head == name and len(value.args) == arity:
+        value = value.args[position]
+        depth += 1
+    return depth, value
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDeepNesting:
+    def test_deep_application_in_a_program(self):
+        prog, _ = parse_program(f"id :: {'f(' * DEEP}a{')' * DEEP} ==> a.")
+        depth, leaf = _spine(prog.items[0].head.lhs[0], "f", 1, 0)
+        assert depth == DEEP and leaf.head == "a" and not leaf.args
+
+    def test_deep_parentheses(self):
+        value = parse_term("(" * DEEP + "a" + ")" * DEEP)
+        assert isinstance(value, Apply) and value.head == "a" and not value.args
+
+    def test_deep_prefix_chain(self):
+        _, table = parse_program(":- op(100, fy, notish).")
+        value = parse_term("notish " * DEEP + "a", table)
+        depth, leaf = _spine(value, "notish", 1, 0)
+        assert depth == DEEP and leaf.head == "a" and not leaf.args
+
+    def test_deep_right_nested_infix_chain(self):
+        _, table = parse_program(":- op(200, xfy, v).")
+        value = parse_term(" v ".join(["a"] * (DEEP + 1)), table)
+        depth, leaf = _spine(value, "v", 2, 1)
+        assert depth == DEEP and leaf.head == "a" and not leaf.args
