@@ -132,19 +132,19 @@ def default_operators() -> OperatorTable:
 #: var, number, punct, end or eof, and ``offset`` indexes the source text.
 Token = Tuple[str, object, int, bool]
 
-_SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
+_SYMBOL_CHARS = "+-*/\\^<>=~:.?@#&$"
 
 # Layout (whitespace, and comments running to the end of the line, so a
 # token that fails never backtracks into one), then one group per token
 # kind, tried in order; ``name`` is the common case of ``word`` that needs no
 # check.  ``\s``, ``\w`` and ``\d`` match exactly what ``str.isspace``,
 # ``str.isalnum`` (or ``_``) and ``str.isdecimal`` accept.
-_TOKEN = re.compile(r"""(?:\s+|%[^\n]*(?=\n|\Z))*(?:
+_TOKEN = re.compile(rf"""(?:\s+|%[^\n]*(?=\n|\Z))*(?:
      (?P<var>[iscf]_\w*)
     |(?P<name>[a-z]\w*)
     |(?P<punct>[(),])
     |(?P<end>\.(?=[\s%]|\Z))
-    |(?P<symbol>[-+*/\\^<>=~:.?@\#&$]+)
+    |(?P<symbol>[{re.escape(_SYMBOL_CHARS)}]+)
     |(?P<word>(?!\d)\w+)
     |(?P<solo>[!;])
     |(?P<quoted>'(?:[^'\n]|'')*'(?!'))

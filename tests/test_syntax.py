@@ -1,9 +1,13 @@
-"""Parser and printer: documented forms, diagnostics, round-trips."""
+"""Parser and printer: documented forms, diagnostics, round-trips, agreement
+with the replaced front end, and nesting depth."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from rholog import syntax
 from rholog.program import (
     Abbreviation,
     CutLiteral,
@@ -21,9 +25,11 @@ from rholog.syntax import (
     parse_program,
     parse_query,
     parse_term,
+    tokenize,
 )
 from rholog.terms import Apply, Hedge, singleton
 
+import syntax_oracle as oracle
 from conftest import a, cv, fv, h, iv, sv
 
 
@@ -243,19 +249,12 @@ def _anon_free(value):
 # ---------------------------------------------------------------------------
 # Differential tests against the replaced front end (tests/syntax_oracle.py)
 
-import sys
-from pathlib import Path
-
-import syntax_oracle as oracle
-
-from rholog import syntax
-from rholog.syntax import tokenize
-
 #: Layout, quotes, comments, ends, symbol characters, and characters on
-#: which ``str`` predicates and the old scanner could disagree: NBSP and
-#: ``\x1c`` are whitespace, ``é`` a letter, ``²``/``①`` non-decimal digits.
+#: which ``str`` predicates and a regex could disagree: NBSP and ``\x1c`` are
+#: whitespace, ``é`` a letter, ``²``/``①`` non-decimal digits, and ``Ⅻ``
+#: upper case but no letter.
 _CHARS = list("abfiscg_XZ019 \n\r\t'%.(),!;+-*/\\^<>=~:?@#&$") + \
-    [" ", "\x1c", "é", "²", "①"]
+    ["\u00a0", "\x1c", "\u00e9", "\u00b2", "\u2460", "\u216b"]
 
 _CORPUS = sorted((Path(syntax.__file__).parent / "corpus").rglob("*.rholog"))
 
@@ -315,12 +314,17 @@ class TestTokenizerOracle:
 
 # Error-prone choices (bare c_C, hole, i_X(...)) come once, common ones thrice.
 _LEAVES = ["a", "b", "p", "i_X", "s_Y", "s_", "1", "f_F", "'q r'", "v"] * 3 + \
-    ["eps", "'eps'", "hole", "-", "23", "i_", "f_", "c_C", "notish", "bang", "mod"]
+    ["eps", "'eps'", "hole", "-", "23", "i_", "f_", "c_C", "notish", "bang", "mod", "boxish"]
 _HEADS = ["f", "g", "p", "f_F", "c_"] * 3 + ["c_C", "i_X", "s_Y", "hole", "eps", "-", "notish"]
-_INFIX = ["+", "-", "*", "mod", "is", "<", "->", "v", "v", "bang", "notish"]
-_PREFIX = ["-", "notish", "notish", "+", "bang", "v"]
-_OPS = [":- op(200, xfy, v).", ":- op(100, fy, notish).", ":- op(150, xf, bang).",
-        ":- mode(p(+, -))."]
+_INFIX = ["+", "-", "*", "mod", "is", "<", "->", "v", "v", "bang", "starish", "notish"]
+_PREFIX = ["-", "notish", "notish", "boxish", "+", "bang", "v"]
+#: Operator tables to start from: the default one, and the default one plus
+#: declarations with distinct priorities or with a shared one.
+_TABLES = {"default": "", "distinct": "200 xfy v, 100 fy notish, 100 fx boxish, "
+           "150 xf bang, 150 yf starish", "shared": "200 xfy v, 200 fy notish, "
+           "200 fx boxish, 200 xf bang, 200 yf starish"}
+_DIRECTIVES = [":- op(200, xfy, v).", ":- op(100, fy, notish).", ":- op(150, xf, bang).",
+               ":- mode(p(+, -))."]
 
 
 def _random_term(rng, depth):
@@ -337,7 +341,7 @@ def _random_term(rng, depth):
                 f"{_random_term(rng, depth - 1)}")
     if roll < 0.93:
         return f"{rng.choice(_PREFIX)} {_random_term(rng, depth - 1)}"
-    return f"{_random_term(rng, depth - 1)} bang"
+    return f"{_random_term(rng, depth - 1)} {rng.choice(['bang', 'starish'])}"
 
 
 def _random_literal(rng):
@@ -354,7 +358,7 @@ def _random_literal(rng):
 def _random_item(rng):
     roll = rng.random()
     if roll < 0.1:
-        return rng.choice(_OPS)
+        return rng.choice(_DIRECTIVES)
     if roll < 0.2:
         return f"{_random_term(rng, 2)} := {_random_term(rng, 2)}."
     body = ", ".join(_random_literal(rng) for _ in range(rng.randint(0, 2)))
@@ -394,13 +398,12 @@ def _assert_same_parse(parse, text, table):
 
 
 class TestParserOracle:
-    @pytest.mark.parametrize("with_ops", [False, True], ids=["default_ops", "declared_ops"])
-    def test_random_texts(self, with_ops):
-        rng = random.Random(29 + with_ops)
-        base = syntax.default_operators()
-        if with_ops:
-            _, base = syntax.parse_program("\n".join(_OPS[:3]))
-        for _ in range(1500):
+    @pytest.mark.parametrize("tables", list(_TABLES))
+    def test_random_texts(self, tables):
+        rng = random.Random(f"parser oracle {tables}")
+        _, base = syntax.parse_program(" ".join(
+            f":- op({decl.replace(' ', ', ')})." for decl in _TABLES[tables].split(", ") if decl))
+        for _ in range(1200):
             sep = rng.choice([" ", "\n"])
             program = _mutate(rng, sep.join(_random_item(rng)
                                             for _ in range(rng.randint(1, 4))))
