@@ -24,8 +24,9 @@ alternatives, each a rewritten goal:
 * a forced match enumerates matchers of its pattern against its
   now-ground subject, applying each one to the remaining goal and to the
   answer under construction;
-* a negative transformation literal succeeds exactly when its positive
-  counterpart has no answers, and never binds anything;
+* a negative transformation literal is ``(positive, !, fail ; true)``: its
+  positive counterpart runs as frames of the same stack, and its first
+  answer cuts away the ``true`` branch and fails; it never binds anything;
 * ``!`` discards every choice point created since its clause's activation
   (since the start of the query, for a query-level cut);
 * built-in predicates (``is``, comparisons, ``true``, ``fail``, ``write``,
@@ -46,7 +47,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from . import strategies
 from .matching import match_hedge
@@ -84,7 +85,7 @@ from .terms import (
     num,
     singleton,
 )
-from .wellmoded import BUILTIN_PREDICATES, ModeTable, check_program, mode_table_of
+from .wellmoded import BUILTIN_PREDICATES, ModeTable, check_program, check_query, mode_table_of
 
 
 class ConsultError(Exception):
@@ -351,6 +352,23 @@ class _Cut:
     level: int
 
 
+@dataclass(eq=False, slots=True)
+class _ProbeEnd:
+    """Engine-internal last literal of a probe goal ``st :: lhs ==> s_P``.
+
+    The forced match that binds ``out`` (``s_P``) finds it at the end of its
+    remaining goal, sets ``hit`` and splices ``then(image)`` in its place, so
+    the probe's own matches never rebuild the continuation.
+    """
+
+    out: Var
+    then: Callable
+    hit: bool = False
+
+
+_FAIL = PredLiteral(Apply("fail"))
+
+
 class Session:
     """Evaluation context: a program plus I/O and safety configuration.
 
@@ -396,10 +414,6 @@ class Session:
         self.runtime_errors.append(message)
         print(f"error: {message}", file=self.err)
 
-    def emit_trace(self, level: int, depth: int, text: str) -> None:
-        if self.trace is not None:
-            self.trace.write(f"{'| ' * level}[{depth}] {text}\n")
-
     # -- solving
 
     def solve(self, query: Query) -> Iterator[Answer]:
@@ -411,7 +425,7 @@ class Session:
                     query_vars.append(var)
         goal = tuple(_Cut(0) if isinstance(lit, CutLiteral) else lit
                      for lit in query)
-        machine = _Machine(self, goal)
+        machine = _Machine(self, goal, tuple(query_vars))
         for bindings in machine.run():
             yield Answer((var, bindings.get(var, var)) for var in query_vars)
 
@@ -425,7 +439,6 @@ class Session:
         return self.solve(query)
 
     def check_query(self, query: Query):
-        from .wellmoded import check_query
         return check_query(query, self.program.modes)
 
 
@@ -445,13 +458,13 @@ class _Renaming(dict):
         return image
 
 
-def _with_named(bindings: dict, sigma: dict) -> dict:
-    """``bindings`` plus the named variables of the matcher ``sigma``.
+def _with_named(bindings: dict, sigma: dict, names) -> dict:
+    """``bindings`` plus what the matcher ``sigma`` binds of the query's ``names``.
 
     Built here rather than in the forced-match generator, so a suspended
     generator keeps no dict of its own alive.
     """
-    named = {var: value for var, value in sigma.items() if not var.anon}
+    named = {var: sigma[var] for var in names if var in sigma}
     if not named:
         return bindings
     bindings = dict(bindings)
@@ -501,21 +514,21 @@ def _arith(t) -> int:
 
 
 class _Machine:
-    """One depth-first search over a goal, on an explicit frame stack.
+    """A query's depth-first search, on one explicit frame stack.
 
     Each frame is an iterator of ``(goal, bindings)`` alternatives; the top
     frame is advanced, an exhausted frame pops, and an empty goal yields its
     bindings as an answer.  Cut truncates the stack to a recorded depth.
-    Sub-machines (negation, strategy probes) recurse only as deep as
-    strategy terms nest, never with the derivation.  A search closed before
-    it is exhausted (a probe that wanted one answer) drops its frames at
-    once: they refer back to the machine, and would otherwise wait for the
-    cycle collector.
+    Negation and strategy probes run as frames of this stack too, so the
+    depth limit counts them and no derivation recurses in Python.
+    ``bindings`` hold only the query's ``names``.  A search closed before
+    it is exhausted drops its frames at once: they refer back to the
+    machine, and would otherwise wait for the cycle collector.
     """
 
-    def __init__(self, session: Session, goal, level: int = 0):
+    def __init__(self, session: Session, goal, names: tuple):
         self.session = session
-        self.level = level
+        self.names = names
         self.tracing = session.trace is not None
         self.stack: List[Iterator] = [iter(((tuple(goal), {}),))]
 
@@ -564,6 +577,8 @@ class _Machine:
         if not lit.subject.ground or lit.subject.holes:
             return self._bad_input(lit)
 
+        end = rest[-1] if rest and isinstance(rest[-1], _ProbeEnd) else None
+
         def alts():
             for j, sigma in enumerate(match_hedge(lit.pattern, lit.subject), 1):
                 if self.tracing:
@@ -571,7 +586,10 @@ class _Machine:
                                 f"{lit.subject!r} | matcher {j}")
                 new_rest = tuple(apply_to_literal(sigma, lt) for lt in rest) \
                     if sigma else rest
-                yield new_rest, _with_named(bindings, sigma)
+                if end is not None and end.out in sigma:
+                    end.hit = True
+                    new_rest = new_rest[:-1] + end.then(sigma[end.out])
+                yield new_rest, _with_named(bindings, sigma, self.names)
         return alts()
 
     def _positive_rho(self, lit: RhoLiteral, rest, bindings) -> Iterator:
@@ -606,17 +624,9 @@ class _Machine:
                     "well-modedness broken at runtime: negative literal "
                     f"{format_literal(lit, self.session.operators)} still "
                     f"contains {', '.join(v.text() for v in loose)}")
-        if self.tracing:
-            self._trace(f"{self._lit_text(lit)} | negation: enter")
         positive = RhoLiteral(lit.strategy, lit.lhs, lit.rhs, negative=False)
-        sub = _Machine(self.session, (positive,), self.level + 1)
-        succeeded = next(sub.run(), None) is None
-        if self.tracing:
-            self._trace(f"{self._lit_text(lit)} | negation: "
-                        f"{'succeeds' if succeeded else 'fails'}")
-        if succeeded:
-            return iter(((rest, bindings),))
-        return iter(())
+        return iter((((positive, _Cut(len(self.stack)), _FAIL), bindings),
+                     (rest, bindings)))
 
     def _predicate(self, lit: PredLiteral, rest, bindings) -> Iterator:
         name = lit.name
@@ -710,13 +720,19 @@ class _Machine:
 
     # -- services for combinator handlers
 
-    def strategy_stream(self, strategy, input_hedge: Hedge) -> Iterator[Hedge]:
-        """The stream of output hedges of a strategy on a ground hedge."""
-        out = self.session.fresh_var("s", "Probe")
-        goal = (RhoLiteral(strategy, input_hedge, singleton(out)),)
-        sub = _Machine(self.session, goal, self.level + 1)
-        for bindings in sub.run():
-            yield bindings[out]
+    def probe(self, strategy, lhs: Hedge, then, cut_to: Optional[int] = None):
+        """A goal that runs ``strategy`` on ``lhs``, then ``then(output)``.
+
+        Each output continues with the goal ``then`` returns for it; with
+        ``cut_to``, an output cuts the stack to that depth before it does.
+        Returns the goal and its :class:`_ProbeEnd`, whose ``hit`` tells
+        whether any output was reached.
+        """
+        end = _ProbeEnd(self.session.fresh_var("s", "Probe"), then)
+        goal = (RhoLiteral(strategy, lhs, singleton(end.out)),)
+        if cut_to is not None:
+            goal += (_Cut(cut_to),)
+        return goal + (end,), end
 
     # -- tracing
 
@@ -724,4 +740,4 @@ class _Machine:
         return format_literal(lit, self.session.operators)
 
     def _trace(self, text: str) -> None:
-        self.session.emit_trace(self.level, len(self.stack), text)
+        self.session.trace.write(f"[{len(self.stack)}] {text}\n")

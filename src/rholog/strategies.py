@@ -7,7 +7,12 @@ therefore carry either user clauses or a native meaning, never both.
 Each handler receives the running machine and rewrites the selected literal
 ``st :: h ==> rhs`` into alternative goals.  Handlers never add bindings
 themselves: they splice fresh sub-literals whose forced matches do the
-binding, so answer order falls out of plain depth-first search.
+binding, so answer order falls out of plain depth-first search.  A handler
+that must see a strategy's outputs runs it as a probe (``_Machine.probe``):
+a goal on the same stack whose continuation runs once per output.
+``first_one`` is a cut after the first output; ``first_all`` and ``nf`` are
+soft cuts (Prolog's ``*->``), whose else branch runs only if the probe had
+no output.
 
 The library:
 
@@ -49,25 +54,15 @@ from .program import ForcedMatch, RhoLiteral
 from .syntax import ParseError, format_hedge, parse_term
 from .terms import Apply, Hedge, apply_context, int_value, singleton
 
-#: Strategy symbols with a native meaning.
-COMBINATORS = frozenset({
-    "id", "compose", "choice", "first_one", "first_all", "nf", "iterate",
-    "map1", "map", "interactive", "rewrite",
-})
-
-
 class Interaction:
     """Line-oriented channel for the ``interactive`` strategy."""
 
     def __init__(self, read_line, write_text):
-        self._read = read_line
+        self.read = read_line       # prompt -> line, or None at end of input
         self._write = write_text
 
     def show(self, text: str) -> None:
         self._write(text + "\n")
-
-    def read(self, prompt: str) -> Optional[str]:
-        return self._read(prompt)
 
 
 def stream_interaction(infile, outfile) -> Interaction:
@@ -83,10 +78,9 @@ def stream_interaction(infile, outfile) -> Interaction:
 def expand_combinator(machine, lit: RhoLiteral, rest, ans) -> Iterator:
     """Alternative goals for a combinator literal, or None if not one."""
     strategy = lit.strategy
-    name = strategy.head if isinstance(strategy, Apply) else None
-    if name not in COMBINATORS:
+    handler = _HANDLERS.get(strategy.head) if isinstance(strategy, Apply) else None
+    if handler is None:
         return None
-    handler = _HANDLERS[name]
     return handler(machine, strategy.args.items, lit, rest, ans)
 
 
@@ -98,6 +92,11 @@ def _bad(machine, message) -> Iterator:
 def _emit(machine, lit, rest, ans, result: Hedge):
     """A single alternative that matches the literal's rhs against result."""
     return (ForcedMatch(lit.rhs, result),) + rest, ans
+
+
+def _again(lit, rest):
+    """The continuation that applies the literal's strategy to an output."""
+    return lambda result: (RhoLiteral(lit.strategy, result, lit.rhs),) + rest
 
 
 def _id(machine, args, lit, rest, ans):
@@ -123,44 +122,34 @@ def _choice(machine, args, lit, rest, ans):
                  for st in args])
 
 
-def _first_one(machine, args, lit, rest, ans):
+def _first(machine, args, lit, rest, ans):
+    name = lit.strategy.head
     if not args:
-        return _bad(machine, "first_one needs at least one strategy")
-    for st in args:
-        first = next(machine.strategy_stream(st, lit.lhs), None)
-        if first is not None:
-            return iter([_emit(machine, lit, rest, ans, first)])
-    return iter(())
+        return _bad(machine, f"{name} needs at least one strategy")
+    # first_one cuts this frame at its first output; first_all goes on to
+    # the next strategy only if a probe had no output.
+    level = len(machine.stack) if name == "first_one" else None
 
-
-def _first_all(machine, args, lit, rest, ans):
-    if not args:
-        return _bad(machine, "first_all needs at least one strategy")
-    for st in args:
-        stream = machine.strategy_stream(st, lit.lhs)
-        first = next(stream, None)
-        if first is not None:
-            def alts(first=first, stream=stream):
-                yield _emit(machine, lit, rest, ans, first)
-                for result in stream:
-                    yield _emit(machine, lit, rest, ans, result)
-            return alts()
-    return iter(())
+    def alts():
+        for st in args:
+            goal, end = machine.probe(
+                st, lit.lhs, lambda out: (ForcedMatch(lit.rhs, out),) + rest, level)
+            yield goal, ans
+            if end.hit:
+                return
+    return alts()
 
 
 def _nf(machine, args, lit, rest, ans):
     if len(args) != 1:
         return _bad(machine, "nf takes exactly one strategy")
-    stream = machine.strategy_stream(args[0], lit.lhs)
-    first = next(stream, None)
-    if first is None:
-        # Irreducible: the input is its own normal form.
-        return iter([_emit(machine, lit, rest, ans, lit.lhs)])
 
-    def alts(first=first, stream=stream):
-        yield (RhoLiteral(lit.strategy, first, lit.rhs),) + rest, ans
-        for result in stream:
-            yield (RhoLiteral(lit.strategy, result, lit.rhs),) + rest, ans
+    def alts():
+        goal, end = machine.probe(args[0], lit.lhs, _again(lit, rest))
+        yield goal, ans
+        if not end.hit:
+            # Irreducible: the input is its own normal form.
+            yield _emit(machine, lit, rest, ans, lit.lhs)
     return alts()
 
 
@@ -201,32 +190,30 @@ def _interactive(machine, args, lit, rest, ans):
     if channel is None:
         return _bad(machine, "interactive needs an attached interaction channel")
     table = machine.session.operators
-    current = lit.lhs
-    channel.show(f"current hedge: {format_hedge(current, table)}")
-    while True:
-        line = channel.read("strategy (term. or finish.)> ")
-        if line is None:
-            break
-        text = line.strip()
-        if text in ("", "finish", "finish."):
-            if text == "":
+    level = len(machine.stack)
+    channel.show(f"current hedge: {format_hedge(lit.lhs, table)}")
+
+    def alts():
+        while True:
+            line = channel.read("strategy (term. or finish.)> ")
+            if line is None or line.strip() in ("finish", "finish."):
+                break
+            text = line.strip()
+            if not text:
                 continue
-            break
-        try:
-            strategy = parse_term(text, table)
-        except ParseError as exc:
-            channel.show(f"cannot read strategy: {exc}")
-            continue
-        if isinstance(strategy, Hedge):
-            channel.show("a strategy must be a term")
-            continue
-        result = next(machine.strategy_stream(strategy, current), None)
-        if result is None:
+            try:
+                strategy = parse_term(text, table)
+            except ParseError as exc:
+                channel.show(f"cannot read strategy: {exc}")
+                continue
+            if isinstance(strategy, Hedge):
+                channel.show("a strategy must be a term")
+                continue
+            # The first output cuts this frame and starts the next step.
+            yield machine.probe(strategy, lit.lhs, _again(lit, rest), level)[0], ans
             channel.show("strategy failed; hedge unchanged")
-            continue
-        current = result
-        channel.show(f"current hedge: {format_hedge(current, table)}")
-    return iter([_emit(machine, lit, rest, ans, current)])
+        yield _emit(machine, lit, rest, ans, lit.lhs)
+    return alts()
 
 
 def _rewrite(machine, args, lit, rest, ans):
@@ -251,8 +238,8 @@ _HANDLERS = {
     "id": _id,
     "compose": _compose,
     "choice": _choice,
-    "first_one": _first_one,
-    "first_all": _first_all,
+    "first_one": _first,
+    "first_all": _first,
     "nf": _nf,
     "iterate": _iterate,
     "map1": _map,
@@ -260,6 +247,9 @@ _HANDLERS = {
     "interactive": _interactive,
     "rewrite": _rewrite,
 }
+
+#: Strategy symbols with a native meaning.
+COMBINATORS = frozenset(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +260,7 @@ def corpus_path(name: str):
     ``prelude/rewrite.rholog`` or ``examples/flatten.rholog``."""
     from importlib.resources import files
 
-    path = files(__package__) / "corpus" / name
-    return path
+    return files(__package__) / "corpus" / name
 
 
 def corpus_source(name: str) -> str:

@@ -215,11 +215,6 @@ def vars_of(value) -> Iterator[Var]:
             raise TypeError(f"not a syntax value: {value!r}")
 
 
-def is_ground(value) -> bool:
-    """True when the value contains no variables of any kind."""
-    return value.ground
-
-
 def hole_count(value) -> int:
     return value.holes
 

@@ -13,7 +13,6 @@ from rholog.terms import (
     Var,
     apply_subst,
     hole_count,
-    is_ground,
     singleton,
     subterms,
 )
@@ -237,7 +236,7 @@ def random_match_case(rng: random.Random):
     pattern = random_pattern(rng)
     if rng.random() < 0.5:
         subject = apply_subst(random_instantiation(rng, pattern), pattern)
-        assert is_ground(subject) and hole_count(subject) == 0
+        assert subject.ground and hole_count(subject) == 0
     else:
         subject = random_ground_hedge(rng, 3, 2)
     return pattern, subject

@@ -255,8 +255,9 @@ def _run_module(*args, stdin=""):
 DEEP_TERM = "f(" * 5000 + "a" + ")" * 5000
 
 
-class TestRecursionBackstop:
-    """Whatever exhausts Python's recursion limit ends in a rholog error."""
+class TestProbeRecursion:
+    """Probes run as frames of the query's one stack, so the depth limit
+    stops a derivation that recurses through them."""
 
     @pytest.mark.parametrize("program, query", [
         ("loop :: i_X ==> i_Y :- first_one(loop) :: f(i_X) ==> i_Y.",
@@ -273,8 +274,12 @@ class TestRecursionBackstop:
         run = _run_module("--consult", str(path), "--query", query,
                           "--depth-limit", "1000")
         assert run.returncode == 2
-        assert "error: nested too deeply" in run.stderr
+        assert "error: choice-point stack exceeded 1000 frames" in run.stderr
         assert "Traceback" not in run.stderr
+
+
+class TestRecursionBackstop:
+    """Whatever exhausts Python's recursion limit ends in a rholog error."""
 
     def test_deep_term_exit_2(self):
         run = _run_module("--query", f"id :: {DEEP_TERM} ==> i_X")

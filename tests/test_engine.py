@@ -4,6 +4,7 @@ built-ins, consulting, and laziness."""
 import io
 import random
 import re
+import sys
 
 import pytest
 
@@ -13,11 +14,12 @@ from rholog.engine import (
     DepthLimitExceeded,
     ModeError,
     Session,
+    _Machine,
     consult,
     consult_text,
 )
 from rholog.matching import match_hedge
-from rholog.strategies import corpus_source
+from rholog.strategies import Interaction, corpus_source
 from rholog.syntax import parse_hedge, parse_program, parse_term
 from rholog.terms import Hedge, apply_subst
 
@@ -203,6 +205,101 @@ class TestNegation:
         session = Session(consult_text(""))
         answers = list(session.solve_text("anything :: eps =\\=> nonexistent"))
         assert len(answers) == 1
+
+
+#: Clauses whose bodies write a marker, so a probe's work shows in the output.
+MARKED = (
+    "pick :: a ==> b :- write(p1).\n"
+    "pick :: a ==> c :- write(p2).\n"
+    "step :: a ==> b :- write(s1).\n"
+    "step :: a ==> c :- write(s2).\n"
+    "step :: i_X ==> i_X :- write(t(i_X)), fail.\n"
+)
+
+
+@pytest.fixture()
+def machines(monkeypatch):
+    """Every ``_Machine`` built while the test runs, in order."""
+    built = []
+    init = _Machine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Machine, "__init__", counting_init)
+    return built
+
+
+class TestOneStack:
+    """Negation and strategy probes run as frames of the query's machine."""
+
+    @pytest.mark.parametrize("program, query", [
+        ("loop :: i_X ==> i_Y :- first_one(loop) :: f(i_X) ==> i_Y.",
+         "loop :: a ==> i_Y"),
+        ("grow :: i_X ==> i_Y :- nf(grow) :: f(i_X) ==> i_Y.",
+         "grow :: a ==> i_Y"),
+        ("neg :: i_X ==> i_X :- neg :: f(i_X) =\\=> i_.",
+         "neg :: a ==> i_Y"),
+    ], ids=["first_one", "nf", "negation"])
+    def test_recursion_through_probes_reaches_the_depth_limit(self, program,
+                                                               query):
+        # Each derivation step nests one more probe; none of them may use a
+        # Python frame, so the default recursion limit is never reached.
+        session = Session(consult_text(program), depth_limit=20000)
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            with pytest.raises(DepthLimitExceeded):
+                list(session.solve_text(query))
+        finally:
+            sys.setrecursionlimit(old_limit)
+
+    @pytest.mark.parametrize("query", [
+        "first_one(step, pick) :: a ==> i_X",
+        "first_all(pick, step) :: a ==> i_X",
+        "nf(step) :: a ==> i_X",
+        "step :: a =\\=> d",
+        "interactive :: a ==> i_X",
+    ])
+    def test_one_machine_per_query(self, machines, query):
+        replies = iter(["step.", "zap.", "finish."])
+        session = Session(consult_text(MARKED), out=io.StringIO(),
+                          interaction=Interaction(
+                              lambda prompt: next(replies, None),
+                              lambda text: None))
+        assert list(session.solve_text(query))
+        assert len(machines) == 1
+
+    def _run(self, query):
+        out = io.StringIO()
+        session = Session(consult_text(MARKED), out=out)
+        answers = [[value for _, value in answer.pairs]
+                   for answer in session.solve_text(query)]
+        return out.getvalue(), answers
+
+    def test_first_all_interleaves_probe_and_continuation(self):
+        out, answers = self._run("first_all(pick) :: a ==> i_X, write(k(i_X))")
+        assert out == "p1k(b)p2k(c)"
+        assert answers == [[a("b")], [a("c")]]
+
+    def test_nf_interleaves_probe_and_continuation(self):
+        out, answers = self._run("nf(step) :: a ==> i_X, write(k(i_X))")
+        assert out == "s1t(b)k(b)s2t(c)k(c)t(a)"
+        assert answers == [[a("b")], [a("c")]]
+
+    def test_negation_runs_its_probe_before_the_continuation(self):
+        assert self._run("step :: a =\\=> d, write(k)") == ("s1s2t(a)k", [[]])
+        assert self._run("step :: a =\\=> b, write(k)") == ("s1", [])
+
+    def test_query_cut_after_nf_leaves_no_probe_frame(self, machines):
+        out = io.StringIO()
+        session = Session(consult_text(MARKED), out=out)
+        stream = session.solve_text("nf(step) :: a ==> i_X, write(k(i_X)), !")
+        assert next(stream)["i_X"] == a("b")
+        assert len(machines[0].stack) == 1       # the answer's own frame
+        assert list(stream) == []
+        assert out.getvalue() == "s1t(b)k(b)"
 
 
 class TestCut:
