@@ -356,9 +356,11 @@ class _Cut:
 class _ProbeEnd:
     """Engine-internal last literal of a probe goal ``st :: lhs ==> s_P``.
 
-    The forced match that binds ``out`` (``s_P``) finds it at the end of its
-    remaining goal, sets ``hit`` and splices ``then(image)`` in its place, so
-    the probe's own matches never rebuild the continuation.
+    A forced match that finds it at the end of its remaining goal maps its
+    matchers over the literals before it only.  The one that binds ``out``
+    (``s_P``) sets ``hit`` and splices ``then(image)`` in its place, so the
+    probe's own matches never rebuild the continuation; if ``then`` gives
+    ``None``, that output has no continuation and the matcher is dropped.
     """
 
     out: Var
@@ -577,7 +579,9 @@ class _Machine:
         if not lit.subject.ground or lit.subject.holes:
             return self._bad_input(lit)
 
-        end = rest[-1] if rest and isinstance(rest[-1], _ProbeEnd) else None
+        end = None
+        if rest and isinstance(rest[-1], _ProbeEnd):
+            end, rest = rest[-1], rest[:-1]
 
         def alts():
             for j, sigma in enumerate(match_hedge(lit.pattern, lit.subject), 1):
@@ -586,9 +590,14 @@ class _Machine:
                                 f"{lit.subject!r} | matcher {j}")
                 new_rest = tuple(apply_to_literal(sigma, lt) for lt in rest) \
                     if sigma else rest
-                if end is not None and end.out in sigma:
-                    end.hit = True
-                    new_rest = new_rest[:-1] + end.then(sigma[end.out])
+                if end is not None:
+                    then = (end,)
+                    if end.out in sigma:
+                        end.hit = True
+                        then = end.then(sigma[end.out])
+                        if then is None:
+                            continue
+                    new_rest += then
                 yield new_rest, _with_named(bindings, sigma, self.names)
         return alts()
 
@@ -723,8 +732,9 @@ class _Machine:
     def probe(self, strategy, lhs: Hedge, then, cut_to: Optional[int] = None):
         """A goal that runs ``strategy`` on ``lhs``, then ``then(output)``.
 
-        Each output continues with the goal ``then`` returns for it; with
-        ``cut_to``, an output cuts the stack to that depth before it does.
+        Each output continues with the goal ``then`` returns for it, or
+        fails there if it returns ``None``; with ``cut_to``, an output cuts
+        the stack to that depth before it does.
         Returns the goal and its :class:`_ProbeEnd`, whose ``hit`` tells
         whether any output was reached.
         """

@@ -154,6 +154,36 @@ def _at_hole(ctx, t):
     return t
 
 
+def positions(t) -> Iterator[tuple]:
+    """Every ``(link, subterm)`` position of a ground term, in pre-order.
+
+    ``t`` itself comes first, with link ``None``; then each argument's
+    positions, left to right.  A link is the parent chain
+    ``(node, arg_index, parent_link)``: argument ``arg_index`` of ``node``
+    is the subterm, and ``parent_link`` is ``node``'s own link.  The walk
+    keeps its own stack, and it builds no term: :func:`plug` rebuilds the
+    spine above a position when one is wanted.
+    """
+    if not isinstance(t, Apply):
+        raise TypeError(f"only applications decompose into contexts: {t!r}")
+    stack = [(None, t)]
+    while stack:
+        link, t = stack.pop()
+        yield link, t
+        items = t.args.items
+        for i in range(len(items) - 1, -1, -1):
+            stack.append(((t, i, link), items[i]))
+
+
+def plug(link, new):
+    """The term ``link`` leads into, with ``new`` at its position."""
+    while link is not None:
+        node, i, link = link
+        items = node.args.items
+        new = Apply(node.head, Hedge(items[:i] + (new,) + items[i + 1:]))
+    return new
+
+
 def decompositions(t) -> Iterator[tuple]:
     """All (context, subterm) splits of a ground term, leftmost-outermost.
 
@@ -161,11 +191,5 @@ def decompositions(t) -> Iterator[tuple]:
     argument's splits left to right.  Filling the context's hole with the
     subterm reconstructs ``t``.
     """
-    if not isinstance(t, Apply):
-        raise TypeError(f"only applications decompose into contexts: {t!r}")
-    yield HOLE, t
-    items = t.args.items
-    for i, arg in enumerate(items):
-        for ctx, sub in decompositions(arg):
-            wrapped = Apply(t.head, Hedge(items[:i] + (ctx,) + items[i + 1:]))
-            yield wrapped, sub
+    for link, sub in positions(t):
+        yield plug(link, HOLE), sub

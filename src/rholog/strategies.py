@@ -42,17 +42,21 @@ The library:
     the current hedge, and emits the hedge current when the user finishes.
 ``rewrite(st)``
     rewrites one subterm of a single input term by ``st``, choosing
-    subterms in leftmost-outermost order.
+    subterms in leftmost-outermost order.  It walks the positions of the
+    term in pre-order and runs ``st`` at each as a probe; only an output of
+    exactly one term is a contractum, and the term around it is rebuilt
+    for that output alone.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .matching import decompositions
+# decompositions stays importable here, where perfbench's tracer test looks it up.
+from .matching import decompositions, plug, positions  # noqa: F401
 from .program import ForcedMatch, RhoLiteral
 from .syntax import ParseError, format_hedge, parse_term
-from .terms import Apply, Hedge, apply_context, int_value, singleton
+from .terms import Apply, Hedge, int_value, singleton
 
 class Interaction:
     """Line-oriented channel for the ``interactive`` strategy."""
@@ -221,16 +225,14 @@ def _rewrite(machine, args, lit, rest, ans):
         return _bad(machine, "rewrite takes exactly one strategy")
     if len(lit.lhs) != 1 or not isinstance(lit.lhs[0], Apply):
         return iter(())          # rewriting applies to a single term
-    subject = lit.lhs[0]
-    inner = args[0]
 
     def alts():
-        for ctx, redex in decompositions(subject):
-            slot = machine.session.fresh_var("i", "New")
-            goal = (RhoLiteral(inner, singleton(redex), singleton(slot)),
-                    ForcedMatch(lit.rhs, singleton(apply_context(ctx, slot))),
-                    ) + rest
-            yield goal, ans
+        for link, redex in positions(lit.lhs[0]):
+            def then(out, link=link):
+                if len(out.items) != 1:
+                    return None
+                return (ForcedMatch(lit.rhs, singleton(plug(link, out.items[0]))),) + rest
+            yield machine.probe(args[0], singleton(redex), then)[0], ans
     return alts()
 
 

@@ -608,58 +608,83 @@ _VAR_LIKE = re.compile(r"[iscf]_")
 def format_value(value, table: Optional[OperatorTable] = None) -> str:
     """Render a term, hedge, or binding mapping (such as a matcher) as source text."""
     table = table if table is not None else default_operators()
+    if isinstance(value, dict):
+        inner = ", ".join(
+            f"{var.text()} -> {_format_value(img, table)}"
+            for var, img in sorted(value.items(), key=lambda kv: (kv[0].kind, kv[0].name)))
+        return "{" + inner + "}"
+    return _format_value(value, table)
+
+
+def _format_value(value, table: OperatorTable) -> str:
     if isinstance(value, Hedge):
         return format_hedge(value, table)
     if isinstance(value, (Var, Apply)):
         return _format_term(value, table, 1200)
-    if isinstance(value, dict):
-        inner = ", ".join(
-            f"{var.text()} -> {format_value(img, table)}"
-            for var, img in sorted(value.items(), key=lambda kv: (kv[0].kind, kv[0].name)))
-        return "{" + inner + "}"
     raise TypeError(f"cannot format {value!r}")
 
 
 def format_hedge(h: Hedge, table: Optional[OperatorTable] = None) -> str:
     table = table if table is not None else default_operators()
-    if len(h) == 0:
+    items = h.items
+    if not items:
         return "eps"
-    if len(h) == 1:
-        return _format_elem(h[0], table)
-    return "(" + ", ".join(_format_elem(e, table) for e in h) + ")"
-
-
-def _format_elem(elem, table: OperatorTable) -> str:
-    if isinstance(elem, Var):
-        return elem.text()
-    return _format_term(elem, table, 999)
+    if len(items) == 1:
+        return _format_term(items[0], table, 999)
+    return _render(_in_parens(items), table)
 
 
 def _format_term(t, table: OperatorTable, maxp: int) -> str:
-    if isinstance(t, Var):
-        return t.text()
-    head = t.head
-    if isinstance(head, str):
-        if len(t.args) == 2:
-            entry = table.infix(head)
+    return _render([(t, maxp)], table)
+
+
+def _in_parens(items) -> list:
+    """Work for ``(e1, ..., en)``, next item last."""
+    work = [")"]
+    for k in range(len(items) - 1, 0, -1):
+        work += ((items[k], 999), ", ")
+    work += ((items[0], 999), "(")
+    return work
+
+
+def _render(work: list, table: OperatorTable) -> str:
+    """The text of ``work``, a stack whose next item is last.
+
+    A string item is written as it is, a ``(term, maxp)`` item as the term's
+    text at priority at most ``maxp``, in parentheses if its operator binds
+    more loosely.  Arguments come at priority 999; a sequence variable is a
+    term here.  The stack stands in for recursion, so any depth prints.
+    """
+    out = []
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, maxp = item
+        if isinstance(t, Var):
+            out.append(t.text())
+            continue
+        head = t.head
+        args = t.args.items
+        if isinstance(head, str) and 1 <= len(args) <= 2:
+            entry = table.infix(head) if len(args) == 2 else table.prefix(head)
             if entry is not None:
                 prio, fixity = entry
-                left_max = prio - 1 if fixity in ("xfx", "xfy") else prio
-                right_max = prio if fixity == "xfy" else prio - 1
-                text = (f"{_format_term(t.args[0], table, left_max)} {head} "
-                        f"{_format_term(t.args[1], table, right_max)}")
-                return f"({text})" if prio > maxp else text
-        if len(t.args) == 1:
-            entry = table.prefix(head)
-            if entry is not None:
-                prio, fixity = entry
-                arg_max = prio if fixity == "fy" else prio - 1
-                text = f"{head} {_format_term(t.args[0], table, arg_max)}"
-                return f"({text})" if prio > maxp else text
-    name = head.text() if isinstance(head, Var) else _atom_text(head)
-    if not t.args:
-        return name
-    return name + "(" + ", ".join(_format_elem(a, table) for a in t.args) + ")"
+                if prio > maxp:
+                    out.append("(")
+                    work.append(")")
+                if len(args) == 2:
+                    work += ((args[1], prio if fixity == "xfy" else prio - 1), f" {head} ",
+                             (args[0], prio - 1 if fixity in ("xfx", "xfy") else prio))
+                else:
+                    out.append(f"{head} ")
+                    work.append((args[0], prio if fixity == "fy" else prio - 1))
+                continue
+        out.append(head.text() if isinstance(head, Var) else _atom_text(head))
+        if args:
+            work += _in_parens(args)
+    return "".join(out)
 
 
 def _atom_text(name: str) -> str:

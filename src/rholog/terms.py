@@ -283,11 +283,3 @@ def apply_context(ctx, t):
     for head, items, i in reversed(path):
         t = Apply(head, Hedge(items[:i] + (t,) + items[i + 1:]))
     return t
-
-
-def subterms(t) -> Iterator:
-    """All subterms of a term, in pre-order."""
-    yield t
-    if isinstance(t, Apply):
-        for arg in t.args:
-            yield from subterms(arg)

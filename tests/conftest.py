@@ -4,7 +4,10 @@ brute-force matching oracle used to validate the matcher."""
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
+
+import pytest
 
 from rholog.terms import (
     HOLE,
@@ -14,8 +17,23 @@ from rholog.terms import (
     apply_subst,
     hole_count,
     singleton,
-    subterms,
 )
+from rholog.matching import positions
+
+#: Nesting depth of the deep-input tests: far past any recursion limit.
+DEEP = 100_000
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run under Python's default limit, whatever earlier tests set."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
 
 # ---------------------------------------------------------------------------
 # Concise builders
@@ -79,7 +97,7 @@ def _positions(t, path=()):
 def _candidates(subject: Hedge):
     all_subterms = []
     for elem in subject:
-        all_subterms.extend(subterms(elem))
+        all_subterms.extend(sub for _, sub in positions(elem))
     symbols = {t.head for t in all_subterms
                if isinstance(t, Apply) and isinstance(t.head, str)}
     slices = {Hedge(())}

@@ -1,12 +1,13 @@
-"""Test-only oracle: the character-by-character tokenizer and the recursive
-descent parser that ``rholog.syntax`` replaced.
+"""Test-only oracle: the character-by-character tokenizer, the recursive
+descent parser and the recursive printer that ``rholog.syntax`` replaced.
 
 The regex tokenizer and the explicit-stack parser must give the same
 tokens, items, item lines, operator tables and errors (message, line and
 column) as these, on any input.  One difference is deliberate: the ``eof``
 token after a trailing comment is placed past the comment, where this
 tokenizer leaves it at the comment's ``%``.  This parser recurses through
-five Python frames per nesting level.
+five Python frames per nesting level.  The explicit-stack printer must
+give the same text as this one for every value.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ from rholog.program import (
     RhoLiteral,
     SourceProgram,
 )
-from rholog.syntax import OperatorTable, ParseError, _atom_int, _atom_name, default_operators
+from rholog.syntax import (
+    OperatorTable,
+    ParseError,
+    _atom_int,
+    _atom_name,
+    _atom_text,
+    default_operators,
+)
 from rholog.terms import (
     EMPTY_HEDGE,
     HOLE_NAME,
@@ -515,3 +523,63 @@ def parse_term(text: str, table: Optional[OperatorTable] = None):
 def parse_hedge(text: str, table: Optional[OperatorTable] = None) -> Hedge:
     value = parse_term(text, table)
     return value if isinstance(value, Hedge) else singleton(value)
+
+
+# ---------------------------------------------------------------------------
+# Printer: recursive, about four Python frames per nesting level
+
+def format_value(value, table: Optional[OperatorTable] = None) -> str:
+    """Render a term, hedge, or binding mapping (such as a matcher) as source text."""
+    table = table if table is not None else default_operators()
+    if isinstance(value, Hedge):
+        return format_hedge(value, table)
+    if isinstance(value, (Var, Apply)):
+        return _format_term(value, table, 1200)
+    if isinstance(value, dict):
+        inner = ", ".join(
+            f"{var.text()} -> {format_value(img, table)}"
+            for var, img in sorted(value.items(), key=lambda kv: (kv[0].kind, kv[0].name)))
+        return "{" + inner + "}"
+    raise TypeError(f"cannot format {value!r}")
+
+
+def format_hedge(h: Hedge, table: Optional[OperatorTable] = None) -> str:
+    table = table if table is not None else default_operators()
+    if len(h) == 0:
+        return "eps"
+    if len(h) == 1:
+        return _format_elem(h[0], table)
+    return "(" + ", ".join(_format_elem(e, table) for e in h) + ")"
+
+
+def _format_elem(elem, table: OperatorTable) -> str:
+    if isinstance(elem, Var):
+        return elem.text()
+    return _format_term(elem, table, 999)
+
+
+def _format_term(t, table: OperatorTable, maxp: int) -> str:
+    if isinstance(t, Var):
+        return t.text()
+    head = t.head
+    if isinstance(head, str):
+        if len(t.args) == 2:
+            entry = table.infix(head)
+            if entry is not None:
+                prio, fixity = entry
+                left_max = prio - 1 if fixity in ("xfx", "xfy") else prio
+                right_max = prio if fixity == "xfy" else prio - 1
+                text = (f"{_format_term(t.args[0], table, left_max)} {head} "
+                        f"{_format_term(t.args[1], table, right_max)}")
+                return f"({text})" if prio > maxp else text
+        if len(t.args) == 1:
+            entry = table.prefix(head)
+            if entry is not None:
+                prio, fixity = entry
+                arg_max = prio if fixity == "fy" else prio - 1
+                text = f"{head} {_format_term(t.args[0], table, arg_max)}"
+                return f"({text})" if prio > maxp else text
+    name = head.text() if isinstance(head, Var) else _atom_text(head)
+    if not t.args:
+        return name
+    return name + "(" + ", ".join(_format_elem(a, table) for a in t.args) + ")"

@@ -279,16 +279,25 @@ class TestProbeRecursion:
 
 
 class TestRecursionBackstop:
-    """Whatever exhausts Python's recursion limit ends in a rholog error."""
+    """Whatever exhausts Python's recursion limit ends in a rholog error.
+
+    Comparing two deep terms still recurses; solving and printing a deep
+    answer no longer do.
+    """
 
     def test_deep_term_exit_2(self):
-        run = _run_module("--query", f"id :: {DEEP_TERM} ==> i_X")
+        run = _run_module("--query", f"id :: {DEEP_TERM} ==> {DEEP_TERM}")
         assert run.returncode == 2
         assert "error: nested too deeply" in run.stderr
         assert "Traceback" not in run.stderr
 
+    def test_deep_answer_prints(self):
+        run = _run_module("--query", f"id :: {DEEP_TERM} ==> i_X")
+        assert run.returncode == 0
+        assert run.stdout == f"i_X = {DEEP_TERM}\n"
+
     def test_shell_reports_and_goes_on(self):
-        run = _run_module(stdin=f"id :: {DEEP_TERM} ==> i_X.\n"
+        run = _run_module(stdin=f"id :: {DEEP_TERM} ==> {DEEP_TERM}.\n"
                                 "id :: a ==> i_X.\n\nhalt.\n")
         assert run.returncode == 0
         assert "error: nested too deeply" in run.stderr

@@ -1,14 +1,16 @@
 """Matcher behavior: documented cases, enumeration order, and the
 soundness/completeness properties against the brute-force oracle."""
 
+import itertools
 import random
 
 import pytest
 
-from rholog.matching import check_subject, decompositions, match_hedge
-from rholog.terms import HOLE, Apply, Hedge, Var, apply_subst, singleton
+from rholog.matching import check_subject, decompositions, match_hedge, plug, positions
+from rholog.terms import HOLE, Apply, Hedge, Var, apply_context, apply_subst, singleton
 
 from conftest import (
+    DEEP,
     a,
     anon,
     brute_force_matchers,
@@ -18,6 +20,7 @@ from conftest import (
     iv,
     matcher_set,
     named,
+    random_ground_term,
     random_match_case,
     sv,
 )
@@ -133,7 +136,6 @@ class TestHolePositions:
 
     def test_decompositions_rebuild_subject(self):
         t = a("h", a("f", a("f", a("a"))), a("f", a("a")))
-        from rholog.terms import apply_context
         for ctx, sub in decompositions(t):
             assert apply_context(ctx, sub) == t
 
@@ -377,3 +379,103 @@ class TestOrderAgainstSubstitution:
 @given(st.randoms(use_true_random=False))
 def test_order_property(rng):
     _assert_same_order(*random_match_case(rng))
+
+
+# ---------------------------------------------------------------------------
+# The position walk against the recursive decompositions it replaced
+
+def _recursive_decompositions(t):
+    """All (context, subterm) splits of a ground term, leftmost-outermost.
+
+    Positions come in pre-order: ``(hole, t)`` itself first, then each
+    argument's splits left to right.  Filling the context's hole with the
+    subterm reconstructs ``t``.
+    """
+    if not isinstance(t, Apply):
+        raise TypeError(f"only applications decompose into contexts: {t!r}")
+    yield HOLE, t
+    items = t.args.items
+    for i, arg in enumerate(items):
+        for ctx, sub in _recursive_decompositions(arg):
+            wrapped = Apply(t.head, Hedge(items[:i] + (ctx,) + items[i + 1:]))
+            yield wrapped, sub
+
+
+def _link_path(link):
+    """The 1-based argument path from the root to a position's link."""
+    path = []
+    while link is not None:
+        node, i, link = link
+        path.append(i + 1)
+    return tuple(reversed(path))
+
+
+class TestPositionWalk:
+    def test_against_recursive_decompositions(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            t = random_ground_term(rng, 5)
+            expected = list(_recursive_decompositions(t))
+            assert list(decompositions(t)) == expected
+            walked = list(positions(t))
+            assert [sub for _, sub in walked] == [sub for _, sub in expected]
+            assert [plug(link, HOLE) for link, _ in walked] == [ctx for ctx, _ in expected]
+            assert [_link_path(link) for link, _ in walked] == list(_preorder(t))
+
+    def test_plug_fills_its_position(self):
+        t = a("h", a("f", a("f", a("a"))), a("f", a("a")))
+        for link, sub in positions(t):
+            assert plug(link, sub) == t
+            assert plug(link, a("k")) == apply_context(_hollow_at(t, _link_path(link)), a("k"))
+        link, sub = list(positions(t))[3]
+        assert sub == a("a") and plug(link, a("b")) == \
+            a("h", a("f", a("f", a("b"))), a("f", a("a")))
+
+    def test_root_position_has_no_link(self):
+        t = a("f", a("a"))
+        assert next(positions(t)) == (None, t)
+        assert plug(None, a("b")) == a("b")
+
+    @pytest.mark.parametrize("value", [iv("X"), h(a("a"))])
+    def test_only_applications_decompose(self, value):
+        with pytest.raises(TypeError):
+            next(positions(value))
+        with pytest.raises(TypeError):
+            next(decompositions(value))
+
+
+def _chain(depth, leaf):
+    """``f(g(f(...leaf...)))``: ``depth`` applications above ``leaf``, the
+    one at depth ``k`` from the top headed ``"fg"[k % 2]``."""
+    t = leaf
+    for k in reversed(range(depth)):
+        t = a("fg"[k % 2], t)
+    return t
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDeepTerms:
+    def test_walk_and_plug(self):
+        t = _chain(DEEP, a("a"))
+        count = 0
+        for link, sub in positions(t):
+            count += 1
+        assert count == DEEP + 1 and sub == a("a")
+        new = plug(link, a("b"))
+        for k in range(DEEP):
+            assert new.head == "fg"[k % 2]
+            new = new.args.items[0]
+        assert new == a("b")
+
+    def test_decompositions(self):
+        # Each context is a term as deep as its hole, so walk down only
+        # until past the recursion limit.
+        t = _chain(DEEP, a("a"))
+        for depth, (ctx, sub) in enumerate(decompositions(t)):
+            if depth == 1100:
+                break
+        assert sub.head == "fg"[depth % 2]
+        while ctx.head != "hole":
+            ctx = ctx.args.items[0]
+            depth -= 1
+        assert depth == 0

@@ -7,10 +7,10 @@ import pytest
 
 from rholog.engine import Session, consult_text
 from rholog.strategies import COMBINATORS, Interaction, corpus_source, list_corpus
-from rholog.syntax import parse_hedge, parse_term
+from rholog.syntax import format_value, parse_hedge, parse_term
 from rholog.terms import Hedge
 
-from conftest import a
+from conftest import DEEP, a
 
 
 def hedges(session, query):
@@ -233,6 +233,53 @@ class TestRewrite:
         clause = hedges(rewriting,
                         "rewrite_by_clause(strat) :: h(f(f(a)), f(a)) ==> i_X")
         assert native == clause
+
+    def test_only_single_term_outputs_rewrite(self):
+        # At f(a) and g(c) the inner strategy outputs eps or two terms:
+        # no answer there, and the next output at the same position counts.
+        session = Session(consult_text("""
+            st :: f(i_X) ==> eps.
+            st :: g(i_X) ==> (i_X, i_X).
+            st :: a ==> (b, b).
+            st :: a ==> b.
+            st :: a ==> eps.
+            st :: a ==> c.
+        """))
+        assert hedges(session, "rewrite(st) :: h(f(a), g(c)) ==> s_X") == \
+            [parse_hedge(t) for t in ["h(f(b), g(c))", "h(f(c), g(c))"]]
+        assert hedges(session, "rewrite(st) :: f(c) ==> i_X") == []
+
+    def test_inner_side_effects_and_answer_order(self):
+        # What the inner strategy writes, and when, pins the order in which
+        # positions and their outputs are tried; the cut in the a-clause
+        # stays inside its position.
+        session = Session(consult_text("""
+            mark :: i_X ==> i_X :- write(try(i_X)), fail.
+            mark :: f(i_X) ==> g(i_X) :- write(f(i_X)).
+            mark :: f(i_X) ==> (i_X, i_X) :- write(two(i_X)).
+            mark :: a ==> b :- write(a), !.
+            mark :: a ==> c :- write(never).
+            mark :: k(i_X) ==> eps :- write(gone(i_X)).
+        """))
+        session.out = io.StringIO()
+        answers = [answer["i_Y"] for answer in session.solve_text(
+            "rewrite(mark) :: h(f(a), k(a)) ==> i_Y, write(out(i_Y)), nl")]
+        assert answers == [parse_term(t) for t in
+                           ["h(g(a), k(a))", "h(f(b), k(a))", "h(f(a), k(b))"]]
+        assert session.out.getvalue() == (
+            "try(h(f(a), k(a)))try(f(a))f(a)out(h(g(a), k(a)))\n"
+            "two(a)try(a)aout(h(f(b), k(a)))\n"
+            "try(k(a))gone(a)try(a)aout(h(f(a), k(b)))\n")
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_deep_term(self):
+        # One redex, at the bottom of f(g(f(...a...))): the walk and the
+        # rebuilt answer above it cost no Python recursion.
+        session = Session(consult_text("strat :: a ==> b."))
+        spine = "".join("fg"[k % 2] + "(" for k in range(DEEP))
+        answers = list(session.solve_text(f"rewrite(strat) :: {spine}a{')' * DEEP} ==> i_X"))
+        assert len(answers) == 1
+        assert format_value(answers[0]["i_X"]) == f"{spine}b{')' * DEEP}"
 
 
 class TestShippedRewritingStrategies:

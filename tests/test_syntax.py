@@ -2,7 +2,6 @@
 with the replaced front end, and nesting depth."""
 
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -30,7 +29,7 @@ from rholog.syntax import (
 from rholog.terms import Apply, Hedge, singleton
 
 import syntax_oracle as oracle
-from conftest import a, cv, fv, h, iv, sv
+from conftest import DEEP, a, anon, cv, fv, h, iv, sv
 
 
 class TestParseProgram:
@@ -420,21 +419,70 @@ class TestParserOracle:
 
 
 # ---------------------------------------------------------------------------
+# Differential tests against the replaced printer (tests/syntax_oracle.py)
+
+#: Every fixity, at priorities below, at and above the argument priority
+#: 999, some shared; ``-`` and ``bang`` are both infix and prefix.
+_PRINT_TABLE = ("100 xfy v, 100 fy notish, 200 fx boxish, 150 xf bang, 150 yf starish, "
+                "999 xfx eq, 1000 xfy then, 1200 fx top, 999 fy neg, 200 fy -, "
+                "300 fx bang, 700 yfx sep")
+_PRINT_INFIX = ["v", "eq", "then", "sep", "bang", "starish", "+", "-", "*", "mod", "is", "->"]
+_PRINT_PREFIX = ["notish", "boxish", "top", "neg", "-", "bang", "v", "+"]
+_PRINT_HEADS = ["a", "b", "eps", "q r", "it's", "-", "23", "-7", "[]", "!", ";",
+                "i_x", "Up", "", "+", "=\\="]
+_PRINT_ATOMS = _PRINT_HEADS + ["hole"]
+
+
+def _print_table():
+    _, table = syntax.parse_program(" ".join(
+        f":- op({decl.replace(' ', ', ')})." for decl in _PRINT_TABLE.split(", ")))
+    return table
+
+
+def _random_value(rng, depth, element=False):
+    """A random term, or with ``element`` a hedge element, to print."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        if roll < 0.08:
+            return rng.choice([iv("X"), sv("Y") if element else iv("_Z"), anon("i", 1)])
+        return a(rng.choice(_PRINT_ATOMS))
+    if roll < 0.5:
+        return a(rng.choice(_PRINT_INFIX), _random_value(rng, depth - 1),
+                 _random_value(rng, depth - 1))
+    if roll < 0.7:
+        return a(rng.choice(_PRINT_PREFIX), _random_value(rng, depth - 1))
+    if roll < 0.78:
+        return Apply(rng.choice([fv("F"), cv("C")]), singleton(_random_value(rng, depth - 1)))
+    args = [_random_value(rng, depth - 1, True) for _ in range(rng.randint(1, 3))]
+    return a(rng.choice(_PRINT_HEADS), *args)
+
+
+class TestPrinterOracle:
+    @pytest.mark.parametrize("name", ["default", "all fixities"])
+    def test_random_terms_and_hedges(self, name):
+        table = syntax.default_operators() if name == "default" else _print_table()
+        rng = random.Random(f"printer oracle {name}")
+        for _ in range(2000):
+            t = _random_value(rng, 5)
+            assert format_value(t, table) == oracle.format_value(t, table), repr(t)
+            hedge = Hedge(_random_value(rng, 3, True) for _ in range(rng.randint(0, 3)))
+            assert format_hedge(hedge, table) == oracle.format_hedge(hedge, table)
+            assert format_value(hedge, table) == oracle.format_value(hedge, table)
+            matcher = {iv("A"): t, sv("B"): hedge, fv("C"): a("g")}
+            assert format_value(matcher, table) == oracle.format_value(matcher, table)
+
+    def test_every_operator_is_printed(self):
+        # The random values reach each operator both at and above its priority.
+        table = _print_table()
+        rng = random.Random("printer oracle all fixities")
+        text = " ".join(format_value(_random_value(rng, 5), table) for _ in range(2000))
+        for name in ["v", "eq", "then", "sep", "notish", "boxish", "top", "neg"]:
+            assert f"({name} " in text or f" {name} " in text, name
+        assert "(notish " in text and "(a v " in text
+
+
+# ---------------------------------------------------------------------------
 # Nesting depth costs no Python recursion
-
-DEEP = 100_000
-
-
-@pytest.fixture
-def default_recursion_limit():
-    """Run under Python's default limit, whatever earlier tests set."""
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(saved)
-
 
 def _spine(value, name, arity, position):
     """Follow argument ``position`` of ``name``-applications of ``arity``;
@@ -468,3 +516,29 @@ class TestDeepNesting:
         value = parse_term(" v ".join(["a"] * (DEEP + 1)), table)
         depth, leaf = _spine(value, "v", 2, 1)
         assert depth == DEEP and leaf.head == "a" and not leaf.args
+
+    def test_deep_application_prints(self):
+        t = a("a")
+        for _ in range(DEEP):
+            t = a("f", t)
+        assert format_value(t) == "f(" * DEEP + "a" + ")" * DEEP
+
+    def test_deep_right_nested_infix_chain_prints(self):
+        _, table = parse_program(":- op(200, xfy, v).")
+        t = a("a")
+        for _ in range(DEEP):
+            t = a("v", a("a"), t)
+        assert format_value(t, table) == " v ".join(["a"] * (DEEP + 1))
+
+    def test_deep_left_nested_infix_chain_prints(self):
+        t = a("a")
+        for _ in range(DEEP):
+            t = a("+", t, a("a"))
+        assert format_hedge(h(t, a("b"))) == "(" + " + ".join(["a"] * (DEEP + 1)) + ", b)"
+
+    def test_deep_prefix_chain_prints(self):
+        _, table = parse_program(":- op(100, fy, notish).")
+        t = a("a")
+        for _ in range(DEEP):
+            t = a("notish", t)
+        assert format_value(t, table) == "notish " * DEEP + "a"
