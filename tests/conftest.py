@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from rholog.matching import positions
 from rholog.terms import (
     HOLE,
     Apply,
@@ -18,7 +19,6 @@ from rholog.terms import (
     hole_count,
     singleton,
 )
-from rholog.matching import positions
 
 #: Nesting depth of the deep-input tests: far past any recursion limit.
 DEEP = 100_000

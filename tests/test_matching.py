@@ -1,7 +1,6 @@
 """Matcher behavior: documented cases, enumeration order, and the
 soundness/completeness properties against the brute-force oracle."""
 
-import itertools
 import random
 
 import pytest

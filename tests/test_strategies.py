@@ -270,6 +270,8 @@ class TestRewrite:
             "try(h(f(a), k(a)))try(f(a))f(a)out(h(g(a), k(a)))\n"
             "two(a)try(a)aout(h(f(b), k(a)))\n"
             "try(k(a))gone(a)try(a)aout(h(f(a), k(b)))\n")
+        # Five positions, one fresh variable each: numbering is pinned too.
+        assert session.fresh_var("i", "Next").name == "Next#6"
 
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_deep_term(self):

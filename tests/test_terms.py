@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from rholog.matching import positions
 from rholog.terms import (
     EMPTY_HEDGE,
     HOLE,
@@ -16,7 +17,6 @@ from rholog.terms import (
     singleton,
     vars_of,
 )
-from rholog.matching import positions
 
 from conftest import a, cv, fv, h, iv, sv
 
