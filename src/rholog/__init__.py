@@ -28,7 +28,7 @@ from .engine import (
     consult_files,
     consult_text,
 )
-from .matching import decompositions, match_hedge
+from .matching import decompositions, match_hedge, plug
 from .program import (
     Abbreviation,
     CutLiteral,
@@ -69,7 +69,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Answer", "ConsultError", "DepthLimitExceeded", "ModeError", "Program",
     "Session", "consult", "consult_files", "consult_text",
-    "decompositions", "match_hedge",
+    "decompositions", "match_hedge", "plug",
     "Abbreviation", "CutLiteral", "OpDirective", "PredClause", "PredLiteral",
     "RhoClause", "RhoLiteral", "SourceProgram",
     "COMBINATORS", "Interaction", "corpus_path", "corpus_source", "list_corpus",

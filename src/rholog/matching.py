@@ -112,8 +112,8 @@ def _match(pat: tuple, i: int, subj: tuple, j: int, later, env: dict):
                 if image is None:  # hole positions in pre-order
                     mark = len(env)
                     frame = (pat, i, subj, j, later)
-                    for ctx, sub in decompositions(s):
-                        env[head] = ctx
+                    for link, sub in decompositions(s):
+                        env[head] = plug(link, HOLE)
                         yield from _match(p.args.items, 0, (sub,), 0, frame, env)
                         _undo(env, mark)
                     return
@@ -154,15 +154,16 @@ def _at_hole(ctx, t):
     return t
 
 
-def positions(t) -> Iterator[tuple]:
-    """Every ``(link, subterm)`` position of a ground term, in pre-order.
+def decompositions(t) -> Iterator[tuple]:
+    """Every ``(link, subterm)`` split of a ground term, leftmost-outermost.
 
-    ``t`` itself comes first, with link ``None``; then each argument's
-    positions, left to right.  A link is the parent chain
-    ``(node, arg_index, parent_link)``: argument ``arg_index`` of ``node``
-    is the subterm, and ``parent_link`` is ``node``'s own link.  The walk
-    keeps its own stack, and it builds no term: :func:`plug` rebuilds the
-    spine above a position when one is wanted.
+    Positions come in pre-order: ``t`` itself first, with link ``None``;
+    then each argument's positions, left to right.  The link is the context
+    around the subterm as a zipper (Huet 1997): the parent chain
+    ``(node, arg_index, parent_link)``, where argument ``arg_index`` of
+    ``node`` is the subterm and ``parent_link`` is ``node``'s own link.  The
+    walk keeps its own stack and builds no term: ``plug(link, HOLE)`` is the
+    context as a term with a hole, and ``plug(link, subterm)`` is ``t``.
     """
     if not isinstance(t, Apply):
         raise TypeError(f"only applications decompose into contexts: {t!r}")
@@ -183,13 +184,3 @@ def plug(link, new):
         new = Apply(node.head, Hedge(items[:i] + (new,) + items[i + 1:]))
     return new
 
-
-def decompositions(t) -> Iterator[tuple]:
-    """All (context, subterm) splits of a ground term, leftmost-outermost.
-
-    Positions come in pre-order: ``(hole, t)`` itself first, then each
-    argument's splits left to right.  Filling the context's hole with the
-    subterm reconstructs ``t``.
-    """
-    for link, sub in positions(t):
-        yield plug(link, HOLE), sub

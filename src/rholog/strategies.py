@@ -52,8 +52,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-# decompositions stays importable here, where perfbench's tracer test looks it up.
-from .matching import decompositions, plug, positions  # noqa: F401
+from .matching import decompositions, plug
 from .program import ForcedMatch, RhoLiteral
 from .syntax import ParseError, format_hedge, parse_term
 from .terms import Apply, Hedge, int_value, singleton
@@ -227,7 +226,7 @@ def _rewrite(machine, args, lit, rest, ans):
         return iter(())          # rewriting applies to a single term
 
     def alts():
-        for link, redex in positions(lit.lhs[0]):
+        for link, redex in decompositions(lit.lhs[0]):
             def then(out, link=link):
                 if len(out.items) != 1:
                     return None

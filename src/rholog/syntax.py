@@ -608,19 +608,15 @@ _VAR_LIKE = re.compile(r"[iscf]_")
 def format_value(value, table: Optional[OperatorTable] = None) -> str:
     """Render a term, hedge, or binding mapping (such as a matcher) as source text."""
     table = table if table is not None else default_operators()
-    if isinstance(value, dict):
-        inner = ", ".join(
-            f"{var.text()} -> {_format_value(img, table)}"
-            for var, img in sorted(value.items(), key=lambda kv: (kv[0].kind, kv[0].name)))
-        return "{" + inner + "}"
-    return _format_value(value, table)
-
-
-def _format_value(value, table: OperatorTable) -> str:
     if isinstance(value, Hedge):
         return format_hedge(value, table)
     if isinstance(value, (Var, Apply)):
         return _format_term(value, table, 1200)
+    if isinstance(value, dict):
+        inner = ", ".join(
+            f"{var.text()} -> {format_value(img, table)}"
+            for var, img in sorted(value.items(), key=lambda kv: (kv[0].kind, kv[0].name)))
+        return "{" + inner + "}"
     raise TypeError(f"cannot format {value!r}")
 
 

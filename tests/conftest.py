@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from rholog.matching import positions
+from rholog.matching import decompositions
 from rholog.terms import (
     HOLE,
     Apply,
@@ -97,7 +97,7 @@ def _positions(t, path=()):
 def _candidates(subject: Hedge):
     all_subterms = []
     for elem in subject:
-        all_subterms.extend(sub for _, sub in positions(elem))
+        all_subterms.extend(sub for _, sub in decompositions(elem))
     symbols = {t.head for t in all_subterms
                if isinstance(t, Apply) and isinstance(t.head, str)}
     slices = {Hedge(())}

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rholog.matching import check_subject, decompositions, match_hedge, plug, positions
+from rholog.matching import check_subject, decompositions, match_hedge, plug
 from rholog.terms import HOLE, Apply, Hedge, Var, apply_context, apply_subst, singleton
 
 from conftest import (
@@ -135,8 +135,8 @@ class TestHolePositions:
 
     def test_decompositions_rebuild_subject(self):
         t = a("h", a("f", a("f", a("a"))), a("f", a("a")))
-        for ctx, sub in decompositions(t):
-            assert apply_context(ctx, sub) == t
+        for link, sub in decompositions(t):
+            assert apply_context(plug(link, HOLE), sub) == t
 
 
 class TestOrderProperties:
@@ -181,7 +181,8 @@ def _preorder(t, path=()):
 def _hole_positions(t):
     """The position of the hole in each context ``decompositions`` yields."""
     out = []
-    for ctx, _ in decompositions(t):
+    for link, _ in decompositions(t):
+        ctx = plug(link, HOLE)
         path = ()
         while ctx != HOLE:
             i = next(i for i, arg in enumerate(ctx.args, 1) if arg.holes)
@@ -297,7 +298,8 @@ def _oracle_seq(pat, subj):
         return
     head = p0.head
     if isinstance(head, Var) and head.kind == "c":
-        for ctx, sub in decompositions(s0):
+        for link, sub in decompositions(s0):
+            ctx = plug(link, HOLE)
             inner = apply_subst({head: ctx}, p0.args[0])
             for sigma in _oracle_seq((inner,), (sub,)):
                 sigma[head] = ctx
@@ -415,30 +417,27 @@ class TestPositionWalk:
         for _ in range(300):
             t = random_ground_term(rng, 5)
             expected = list(_recursive_decompositions(t))
-            assert list(decompositions(t)) == expected
-            walked = list(positions(t))
+            walked = list(decompositions(t))
             assert [sub for _, sub in walked] == [sub for _, sub in expected]
             assert [plug(link, HOLE) for link, _ in walked] == [ctx for ctx, _ in expected]
             assert [_link_path(link) for link, _ in walked] == list(_preorder(t))
 
     def test_plug_fills_its_position(self):
         t = a("h", a("f", a("f", a("a"))), a("f", a("a")))
-        for link, sub in positions(t):
+        for link, sub in decompositions(t):
             assert plug(link, sub) == t
             assert plug(link, a("k")) == apply_context(_hollow_at(t, _link_path(link)), a("k"))
-        link, sub = list(positions(t))[3]
+        link, sub = list(decompositions(t))[3]
         assert sub == a("a") and plug(link, a("b")) == \
             a("h", a("f", a("f", a("b"))), a("f", a("a")))
 
     def test_root_position_has_no_link(self):
         t = a("f", a("a"))
-        assert next(positions(t)) == (None, t)
+        assert next(decompositions(t)) == (None, t)
         assert plug(None, a("b")) == a("b")
 
     @pytest.mark.parametrize("value", [iv("X"), h(a("a"))])
     def test_only_applications_decompose(self, value):
-        with pytest.raises(TypeError):
-            next(positions(value))
         with pytest.raises(TypeError):
             next(decompositions(value))
 
@@ -457,7 +456,7 @@ class TestDeepTerms:
     def test_walk_and_plug(self):
         t = _chain(DEEP, a("a"))
         count = 0
-        for link, sub in positions(t):
+        for link, sub in decompositions(t):
             count += 1
         assert count == DEEP + 1 and sub == a("a")
         new = plug(link, a("b"))
@@ -466,14 +465,12 @@ class TestDeepTerms:
             new = new.args.items[0]
         assert new == a("b")
 
-    def test_decompositions(self):
-        # Each context is a term as deep as its hole, so walk down only
-        # until past the recursion limit.
+    def test_context_at_the_deepest_position(self):
         t = _chain(DEEP, a("a"))
-        for depth, (ctx, sub) in enumerate(decompositions(t)):
-            if depth == 1100:
-                break
-        assert sub.head == "fg"[depth % 2]
+        for depth, (link, sub) in enumerate(decompositions(t)):
+            pass
+        assert depth == DEEP and sub == a("a")
+        ctx = plug(link, HOLE)
         while ctx.head != "hole":
             ctx = ctx.args.items[0]
             depth -= 1

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rholog.matching import positions
+from rholog.matching import decompositions
 from rholog.terms import (
     EMPTY_HEDGE,
     HOLE,
@@ -40,7 +40,7 @@ class TestApplyContext:
         ctx = a("f", a("g", HOLE), a("b"))
         filled = apply_context(ctx, a("k", a("a")))
         assert hole_count(filled) == 0
-        assert a("k", a("a")) in {sub for _, sub in positions(filled)}
+        assert a("k", a("a")) in {sub for _, sub in decompositions(filled)}
 
     @pytest.mark.parametrize("bad", [a("f", a("a")), a("f", HOLE, HOLE)])
     def test_malformed_context_rejected(self, bad):
