@@ -81,6 +81,7 @@ from .terms import (
     Hedge,
     Var,
     apply_subst,
+    flat_hedge,
     int_value,
     num,
     singleton,
@@ -347,9 +348,15 @@ class Answer:
 
 @dataclass(frozen=True)
 class _Cut:
-    """Runtime form of ``!``: prune the stack back to a fixed depth."""
+    """Runtime form of ``!``: prune the stack back to a fixed depth.
+
+    With ``fail``, the literal fails after it prunes: it ends the goal of a
+    negation, ``(positive, !, fail)``, as one literal that holds no
+    variable, so a forced match never maps its matchers over it.
+    """
 
     level: int
+    fail: bool = False
 
 
 @dataclass(eq=False, slots=True)
@@ -358,17 +365,16 @@ class _ProbeEnd:
 
     A forced match that finds it at the end of its remaining goal maps its
     matchers over the literals before it only.  The one that binds ``out``
-    (``s_P``) sets ``hit`` and splices ``then(image)`` in its place, so the
-    probe's own matches never rebuild the continuation; if ``then`` gives
-    ``None``, that output has no continuation and the matcher is dropped.
+    (``s_P``) sets ``hit`` and splices ``cut`` and then ``then(image)`` in
+    its place, so the probe's own matches never rebuild the continuation;
+    if ``then`` gives ``None``, that output has no continuation and the
+    matcher is dropped.
     """
 
     out: Var
     then: Callable
+    cut: tuple = ()
     hit: bool = False
-
-
-_FAIL = PredLiteral(Apply("fail"))
 
 
 class Session:
@@ -560,9 +566,10 @@ class _Machine:
     def _expand(self, lit, rest, bindings) -> Iterator:
         if isinstance(lit, _Cut):
             if self.tracing:
-                self._trace(f"select ! | cut to level {lit.level}")
+                self._trace(f"select ! | cut to level {lit.level}"
+                            + (", fail" if lit.fail else ""))
             del self.stack[lit.level:]
-            return iter(((rest, bindings),))
+            return iter(()) if lit.fail else iter(((rest, bindings),))
         if self.tracing:
             self._trace(f"select {self._lit_text(lit)}")
         if isinstance(lit, ForcedMatch):
@@ -579,8 +586,9 @@ class _Machine:
         if not lit.subject.ground or lit.subject.holes:
             return self._bad_input(lit)
 
+        # A probe's end or a trailing cut holds no variable: keep it unmapped.
         end = None
-        if rest and isinstance(rest[-1], _ProbeEnd):
+        if rest and isinstance(rest[-1], (_ProbeEnd, _Cut)):
             end, rest = rest[-1], rest[:-1]
 
         def alts():
@@ -592,11 +600,12 @@ class _Machine:
                     if sigma else rest
                 if end is not None:
                     then = (end,)
-                    if end.out in sigma:
+                    if isinstance(end, _ProbeEnd) and end.out in sigma:
                         end.hit = True
                         then = end.then(sigma[end.out])
                         if then is None:
                             continue
+                        then = end.cut + then
                     new_rest += then
                 yield new_rest, _with_named(bindings, sigma, self.names)
         return alts()
@@ -623,7 +632,7 @@ class _Machine:
         if index is None:
             return iter(())
         return self._resolve(lit, rest, bindings, index,
-                             Hedge((strategy,) + lhs.items), lit.rhs)
+                             flat_hedge((strategy,) + lhs.items, True, 0), lit.rhs)
 
     def _negation(self, lit: RhoLiteral, rest, bindings) -> Iterator:
         if self.session.debug_checks:
@@ -634,7 +643,7 @@ class _Machine:
                     f"{format_literal(lit, self.session.operators)} still "
                     f"contains {', '.join(v.text() for v in loose)}")
         positive = RhoLiteral(lit.strategy, lit.lhs, lit.rhs, negative=False)
-        return iter((((positive, _Cut(len(self.stack)), _FAIL), bindings),
+        return iter((((positive, _Cut(len(self.stack), fail=True)), bindings),
                      (rest, bindings)))
 
     def _predicate(self, lit: PredLiteral, rest, bindings) -> Iterator:
@@ -738,11 +747,9 @@ class _Machine:
         Returns the goal and its :class:`_ProbeEnd`, whose ``hit`` tells
         whether any output was reached.
         """
-        end = _ProbeEnd(self.session.fresh_var("s", "Probe"), then)
-        goal = (RhoLiteral(strategy, lhs, singleton(end.out)),)
-        if cut_to is not None:
-            goal += (_Cut(cut_to),)
-        return goal + (end,), end
+        end = _ProbeEnd(self.session.fresh_var("s", "Probe"), then,
+                        () if cut_to is None else (_Cut(cut_to),))
+        return (RhoLiteral(strategy, lhs, singleton(end.out)), end), end
 
     # -- tracing
 

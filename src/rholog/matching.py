@@ -8,7 +8,9 @@ them lazily, exactly once each, in a fixed canonical order:
 * the leftmost unresolved pattern element is decomposed first;
 * a sequence variable tries shorter prefixes of the subject before longer
   ones;
-* a context variable tries hole positions in pre-order (leftmost-outermost);
+* a context variable tries hole positions in pre-order (leftmost-outermost),
+  passing over, before it builds their context, positions whose head differs
+  from a symbol-headed argument pattern's;
 * a function variable takes the head symbol of the subject term.
 
 The search keeps its bindings in one environment, a ``dict``: it binds,
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .terms import Apply, HOLE, HOLE_NAME, Hedge, Var
+from .terms import Apply, HOLE, HOLE_NAME, Hedge, Var, flat_hedge, plug
 
 
 def match_hedge(pattern: Hedge, subject: Hedge) -> Iterator[dict]:
@@ -78,12 +80,12 @@ def _match(pat: tuple, i: int, subj: tuple, j: int, later, env: dict):
                         return
                     j = k
                 elif i == len(pat):  # a trailing sequence variable takes the rest
-                    env[p] = Hedge(subj[j:])
+                    env[p] = flat_hedge(subj[j:], True, 0)
                     j = len(subj)
                 else:  # shortest prefixes first
                     mark = len(env)
                     for k in range(j, len(subj) + 1):
-                        env[p] = Hedge(subj[j:k])
+                        env[p] = flat_hedge(subj[j:k], True, 0)
                         yield from _match(pat, i, subj, k, later, env)
                         _undo(env, mark)
                     return
@@ -112,7 +114,14 @@ def _match(pat: tuple, i: int, subj: tuple, j: int, later, env: dict):
                 if image is None:  # hole positions in pre-order
                     mark = len(env)
                     frame = (pat, i, subj, j, later)
+                    # A symbol-headed argument can match only a subterm
+                    # with the same head; other positions get no context.
+                    arg = p.args.items[0]
+                    lead = arg.head if isinstance(arg, Apply) \
+                        and isinstance(arg.head, str) else None
                     for link, sub in decompositions(s):
+                        if lead is not None and sub.head != lead:
+                            continue
                         env[head] = plug(link, HOLE)
                         yield from _match(p.args.items, 0, (sub,), 0, frame, env)
                         _undo(env, mark)
@@ -174,13 +183,4 @@ def decompositions(t) -> Iterator[tuple]:
         items = t.args.items
         for i in range(len(items) - 1, -1, -1):
             stack.append(((t, i, link), items[i]))
-
-
-def plug(link, new):
-    """The term ``link`` leads into, with ``new`` at its position."""
-    while link is not None:
-        node, i, link = link
-        items = node.args.items
-        new = Apply(node.head, Hedge(items[:i] + (new,) + items[i + 1:]))
-    return new
 

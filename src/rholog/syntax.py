@@ -54,8 +54,10 @@ from .terms import (
     Apply,
     Hedge,
     Var,
+    flat_hedge,
     hole_count,
     singleton,
+    symbol_apply,
 )
 
 
@@ -459,7 +461,7 @@ class Parser:
                     left = EMPTY_HEDGE
                 elif value == "-" and after[0] == "number":
                     pos += 1
-                    left = Apply(str(-after[1]))
+                    left = symbol_apply(str(-after[1]), EMPTY_HEDGE)
                 else:
                     entry = table.prefix(value)
                     if entry is not None and entry[0] <= maxp and self._starts_term(after):
@@ -467,7 +469,7 @@ class Parser:
                         stack.append((_OPERATOR, value, None, prio, maxp, after))
                         maxp = prio if fixity == "fy" else prio - 1
                         continue
-                    left = Apply(value)
+                    left = symbol_apply(value, EMPTY_HEDGE)
             elif kind == "var":
                 pos += 1
                 after = tokens[pos]
@@ -481,7 +483,7 @@ class Parser:
                     self.error("a context variable must be applied to a term", tok)
             elif kind == "number":
                 pos += 1
-                left = Apply(str(value))
+                left = symbol_apply(str(value), EMPTY_HEDGE)
             elif kind == "punct" and value == "(":
                 opens, value = True, None
             else:
@@ -519,7 +521,7 @@ class Parser:
                             if isinstance(left, Hedge):
                                 self.error("a hedge cannot be an operator argument", tok)
                             pos += 1
-                            left = Apply(tok[1], singleton(left))
+                            left = symbol_apply(tok[1], singleton(left))
                             left_prio = prio
                             continue
                 if not stack:
@@ -530,7 +532,12 @@ class Parser:
                     _, name, first, left_prio, maxp, operand_tok = frame
                     if isinstance(left, Hedge):
                         self.error("a hedge cannot stand where a term is required", operand_tok)
-                    left = Apply(name, Hedge((left,) if first is None else (first, left)))
+                    if first is None:
+                        left = symbol_apply(name, singleton(left))
+                    else:
+                        left = symbol_apply(name, flat_hedge(
+                            (first, left), first.ground and left.ground,
+                            first.holes + left.holes))
                     continue
                 elems = frame[3]
                 elems.append(left)
@@ -562,7 +569,7 @@ class Parser:
             self.error(f"{head.text()} cannot take arguments", tok)
         if head == HOLE_NAME:
             self.error("hole never takes arguments", tok)
-        return Apply(head, args)
+        return symbol_apply(head, args)
 
     def _starts_term(self, tok: Token) -> bool:
         if tok[0] == "atom":

@@ -22,6 +22,18 @@ children's: ``ground`` (it contains no variable of any kind) and ``holes``
 (how many times ``hole`` occurs in it).  Groundness and hole checks are
 therefore O(1), and substitution returns ground sub-values as they are,
 shared rather than copied.
+
+``Hedge(items)`` and ``Apply(head, args)`` check and compute everything:
+the hedge flattens nested hedges and folds its items' facts, the
+application checks its head against its arguments.  Code that already
+knows the answers builds through the two trusted constructors instead,
+which set the slots directly and look at no item:
+:func:`flat_hedge` takes a tuple that is already flat (terms and sequence
+variables, no hedge) and that tuple's exact ``ground`` and ``holes``;
+:func:`symbol_apply` takes a function symbol and its argument hedge.  A
+wrong fact passed to :func:`flat_hedge` is never detected and silently
+breaks matching and substitution, so callers pass only facts they have
+just checked or computed from the children.
 """
 
 from __future__ import annotations
@@ -80,11 +92,12 @@ class Hedge:
                 flat.extend(item.items)
             else:
                 flat.append(item)
-            ground = ground and item.ground
+            if not item.ground:
+                ground = False
             holes += item.holes
-        object.__setattr__(self, "items", tuple(flat))
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "holes", holes)
+        _set_items(self, tuple(flat))
+        _set_hedge_ground(self, ground)
+        _set_hedge_holes(self, holes)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Hedge is immutable")
@@ -111,6 +124,25 @@ class Hedge:
 
     def __repr__(self) -> str:
         return _bounded_repr(self)
+
+
+# The slot descriptors: they store past the immutability guard.
+_set_items = Hedge.items.__set__
+_set_hedge_ground = Hedge.ground.__set__
+_set_hedge_holes = Hedge.holes.__set__
+_new = object.__new__
+
+
+def flat_hedge(items: tuple, ground: bool, holes: int) -> Hedge:
+    """The hedge of ``items``, which must already be flat, with the given facts.
+
+    Trusted: ``ground`` and ``holes`` must be exactly those of ``items``.
+    """
+    hedge = _new(Hedge)
+    _set_items(hedge, items)
+    _set_hedge_ground(hedge, ground)
+    _set_hedge_holes(hedge, holes)
+    return hedge
 
 
 EMPTY_HEDGE = Hedge()
@@ -145,6 +177,28 @@ class Apply:
 
     def __repr__(self) -> str:
         return _bounded_repr(self)
+
+
+_set_head = Apply.head.__set__
+_set_args = Apply.args.__set__
+_set_apply_ground = Apply.ground.__set__
+_set_apply_holes = Apply.holes.__set__
+
+
+def symbol_apply(symbol: str, args: Hedge) -> Apply:
+    """``Apply(symbol, args)`` for a function symbol, without the checks.
+
+    A symbol head adds nothing to its arguments' facts; ``hole``, which
+    takes no arguments and is a hole itself, goes through ``Apply``.
+    """
+    if symbol == HOLE_NAME:
+        return Apply(symbol, args)
+    t = _new(Apply)
+    _set_head(t, symbol)
+    _set_args(t, args)
+    _set_apply_ground(t, args.ground)
+    _set_apply_holes(t, args.holes)
+    return t
 
 
 def _bounded_repr(value, depth: int = 40) -> str:
@@ -189,7 +243,10 @@ def int_value(t) -> Optional[int]:
 
 
 def singleton(t) -> Hedge:
-    return Hedge((t,))
+    """The hedge of the one element ``t``; a hedge is already its own."""
+    if isinstance(t, Hedge):
+        return t
+    return flat_hedge((t,), t.ground, t.holes)
 
 
 def vars_of(value) -> Iterator[Var]:
@@ -240,11 +297,30 @@ def apply_subst(subst, value):
     if isinstance(value, Hedge):
         if value.ground:
             return value
-        return Hedge(_apply_elem(subst, item) for item in value.items)
+        return _apply_items(subst, value.items)
     result = _apply_elem(subst, value)
     if isinstance(result, Hedge):
         raise ValueError(f"sequence image {result!r} cannot stand as a term")
     return result
+
+
+def _apply_items(subst, items: tuple) -> Hedge:
+    """The hedge of ``items`` under ``subst``, sequence images spliced in."""
+    flat = []
+    ground = True
+    holes = 0
+    for item in items:
+        if not item.ground:
+            item = _apply_elem(subst, item)
+            if not item.ground:
+                ground = False
+            if isinstance(item, Hedge):
+                flat.extend(item.items)
+                holes += item.holes
+                continue
+        flat.append(item)
+        holes += item.holes
+    return flat_hedge(tuple(flat), ground, holes)
 
 
 def _apply_elem(subst, elem):
@@ -255,17 +331,17 @@ def _apply_elem(subst, elem):
         if elem.ground:
             return elem
         head = elem.head
-        if isinstance(head, Var) and head.kind == "c":
+        if not isinstance(head, Var):
+            return symbol_apply(head, _apply_items(subst, elem.args.items))
+        if head.kind == "c":
             arg = apply_subst(subst, elem.args.items[0])
             ctx = subst.get(head)
             if ctx is None:
                 return Apply(head, singleton(arg))
             return apply_context(ctx, arg)
-        if isinstance(head, Var):
-            image = subst.get(head)
-            if image is not None:
-                head = image
-        return Apply(head, Hedge(_apply_elem(subst, a) for a in elem.args.items))
+        image = subst.get(head)
+        return Apply(head if image is None else image,
+                     _apply_items(subst, elem.args.items))
     raise TypeError(f"not a syntax value: {elem!r}")
 
 
@@ -274,12 +350,33 @@ def apply_context(ctx, t):
     if not is_context(ctx):
         raise ValueError(f"malformed context (not one hole): {ctx!r}")
     # Walk down the arguments that hold the hole, then rebuild upwards.
-    path = []
+    link = None
     while ctx.head != HOLE_NAME:
         items = ctx.args.items
         i = next(i for i, arg in enumerate(items) if arg.holes)
-        path.append((ctx.head, items, i))
+        link = (ctx, i, link)
         ctx = items[i]
-    for head, items, i in reversed(path):
-        t = Apply(head, Hedge(items[:i] + (t,) + items[i + 1:]))
-    return t
+    return plug(link, t)
+
+
+def plug(link, new):
+    """The term ``link`` leads into, with ``new`` at its position.
+
+    A link is a parent chain ``(node, arg_index, parent_link)``: argument
+    ``arg_index`` of ``node`` is the position, and ``parent_link`` is
+    ``node``'s own link, ``None`` at the top (see
+    :func:`rholog.matching.decompositions`).  Only the spine above the
+    position is rebuilt.
+    """
+    while link is not None:
+        node, i, link = link
+        args = node.args
+        items = args.items
+        old = items[i]
+        items = items[:i] + (new,) + items[i + 1:]
+        if node.ground:  # a symbol head; only the replaced child's facts change
+            new = symbol_apply(node.head, flat_hedge(
+                items, new.ground, args.holes - old.holes + new.holes))
+        else:
+            new = Apply(node.head, Hedge(items))
+    return new

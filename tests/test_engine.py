@@ -302,6 +302,38 @@ class TestOneStack:
         assert out.getvalue() == "s1t(b)k(b)"
 
 
+    @pytest.mark.parametrize("query", [
+        "first_one(step, pick) :: a ==> i_X",
+        "pick :: a =\\=> i_",
+        "interactive :: a ==> i_X",
+    ])
+    def test_forced_matches_leave_control_literals_unmapped(self, monkeypatch,
+                                                            query):
+        # The cut of a first_one or interactive probe and the end of a
+        # negation hold no variable; no matcher is applied to them.  No
+        # clause of pick calls fail, so a mapped fail ends a negation.
+        import rholog.engine
+
+        mapped = []
+        apply = rholog.engine.apply_to_literal
+
+        def recording(subst, lit):
+            mapped.append(lit)
+            return apply(subst, lit)
+
+        monkeypatch.setattr(rholog.engine, "apply_to_literal", recording)
+        replies = iter(["step.", "finish."])
+        session = Session(consult_text(MARKED), out=io.StringIO(),
+                          interaction=Interaction(
+                              lambda prompt: next(replies, None),
+                              lambda text: None))
+        list(session.solve_text(query))
+        assert mapped
+        assert not [lit for lit in mapped
+                    if isinstance(lit, (rholog.engine._Cut, rholog.engine._ProbeEnd))
+                    or isinstance(lit, rholog.engine.PredLiteral) and lit.name == "fail"]
+
+
 class TestCut:
     def test_query_cut_keeps_first_answer(self, elementary):
         got = hedges(elementary, "rewrite(strat) :: h(f(f(a)), f(a)) ==> i_X, !")
@@ -538,6 +570,17 @@ class TestAnswerStream:
             replay = (f"str1 :: (a, b, a, f(a)) ==> "
                       f"{format_hedge(transformed)}")
             assert list(elementary.solve_text(replay)), replay
+
+
+class TestBodyBoundContext:
+    def test_context_variable_bound_by_a_body_output(self):
+        # c_C is unbound when the clause is renamed: its fresh copy is
+        # rebuilt around the argument a, and the body's first literal
+        # binds it at each position of a in the input.
+        session = Session(consult_text(
+            "r :: i_X ==> i_Y :- id :: i_X ==> c_C(a), id :: c_C(b) ==> i_Y.\n"))
+        assert hedges(session, "r :: f(a, g(a)) ==> i_Y") == [
+            a("f", a("b"), a("g", a("a"))), a("f", a("a"), a("g", a("b")))]
 
 
 class TestReplaceExample:

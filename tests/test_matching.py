@@ -475,3 +475,29 @@ class TestDeepTerms:
             ctx = ctx.args.items[0]
             depth -= 1
         assert depth == 0
+
+    def test_context_is_built_only_where_the_argument_can_match(self, monkeypatch):
+        # c_X(b) against f(...f(b)...): only the leaf has head b, so only
+        # there is a context plugged; plugging at every position would be
+        # quadratic in depth.
+        import rholog.matching
+
+        depth = 20_000
+        t = a("b")
+        for _ in range(depth):
+            t = a("f", t)
+        plugged = []
+
+        def counting_plug(link, new):
+            plugged.append(new)
+            assert len(plugged) == 1, "a context was plugged at a position b cannot match"
+            return plug(link, new)
+
+        monkeypatch.setattr(rholog.matching, "plug", counting_plug)
+        matchers = list(match_hedge(h(Apply(cv("X"), singleton(a("b")))), h(t)))
+        assert len(matchers) == 1 and plugged == [HOLE]
+        ctx = matchers[0][cv("X")]
+        for _ in range(depth):
+            assert ctx.head == "f" and ctx.holes == 1
+            ctx = ctx.args.items[0]
+        assert ctx == HOLE

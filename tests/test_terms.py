@@ -1,9 +1,12 @@
 """Core value types: contexts, substitution, hedges."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from rholog.matching import decompositions
+from rholog.matching import decompositions, match_hedge, plug
+from rholog.syntax import format_value, parse_term
 from rholog.terms import (
     EMPTY_HEDGE,
     HOLE,
@@ -18,7 +21,17 @@ from rholog.terms import (
     vars_of,
 )
 
-from conftest import a, cv, fv, h, iv, sv
+from conftest import (
+    a,
+    cv,
+    fv,
+    h,
+    iv,
+    random_ground_term,
+    random_instantiation,
+    random_match_case,
+    sv,
+)
 
 
 class TestApplyContext:
@@ -230,6 +243,56 @@ def test_cached_facts_agree_with_a_full_walk(left, right, shell, image, data):
             assert v.holes == _holes_by_walk(v)
             if v.ground:
                 assert apply_subst(sigma, v) is v
+
+
+# -- facts of built values --------------------------------------------------
+
+def _assert_facts_from_children(value):
+    """Every node's ``ground``/``holes`` equal what its children give."""
+    for node in _nested(value):
+        if isinstance(node, Hedge):
+            assert not any(isinstance(item, Hedge) for item in node.items)
+            assert node.ground == all(item.ground for item in node.items)
+            assert node.holes == sum(item.holes for item in node.items)
+        else:
+            assert node.ground == (not isinstance(node.head, Var) and node.args.ground)
+            assert node.holes == (1 if node.head == "hole" else node.args.holes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_built_values_carry_the_facts_of_their_children(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        pattern, subject = random_match_case(rng)
+        built = [pattern, subject, singleton(pattern), singleton(subject)]
+        # Matcher images, and the pattern rebuilt from each matcher.
+        for sigma in match_hedge(pattern, subject):
+            built += [v for v in sigma.values() if not isinstance(v, str)]
+            built.append(apply_subst(sigma, pattern))
+        # Sequence images that splice, and part of them only, so that the
+        # result keeps some variables.
+        sigma = random_instantiation(rng, pattern)
+        built.append(apply_subst(sigma, pattern))
+        part = {v: img for v, img in sigma.items() if rng.random() < 0.5}
+        built.append(apply_subst(part, pattern))
+        holed = {v: Hedge((HOLE, img)) if v.kind == "s" else img
+                 for v, img in part.items()}
+        built.append(apply_subst(holed, pattern))
+        # Every position of a ground term, plugged with the hole, with the
+        # subterm itself, with another term and with a variable.
+        t = random_ground_term(rng, 3)
+        other = random_ground_term(rng, 2)
+        for link, sub in decompositions(t):
+            ctx = plug(link, HOLE)
+            built += [ctx, plug(link, sub), plug(link, other), plug(link, iv("X")),
+                      apply_context(ctx, other), singleton(sub)]
+            built.append(parse_term(format_value(ctx)))
+        # A context under a context variable: rebuilt through its variable head.
+        built.append(apply_context(Apply(cv("C"), singleton(HOLE)), t))
+        built.append(singleton(iv("X")))
+        built += [parse_term(format_value(pattern)), parse_term(format_value(t))]
+        for value in built:
+            _assert_facts_from_children(value)
 
 
 # -- variable occurrences ----------------------------------------------------
