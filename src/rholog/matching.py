@@ -8,10 +8,17 @@ them lazily, exactly once each, in a fixed canonical order:
 * the leftmost unresolved pattern element is decomposed first;
 * a sequence variable tries shorter prefixes of the subject before longer
   ones;
-* a context variable tries hole positions in pre-order (leftmost-outermost),
-  passing over, before it builds their context, positions whose head differs
-  from a symbol-headed argument pattern's;
+* a context variable tries hole positions in pre-order (leftmost-outermost);
 * a function variable takes the head symbol of the subject term.
+
+Splits and positions that cannot match are passed over before any image or
+context is built, and nothing is reordered.  A sequence variable followed by
+more pattern tries only the splits after which the rest of its hedge can
+still fit and the next item can start there (:func:`_splits`).  A context
+variable passes over positions whose head differs from a symbol-headed
+argument pattern's, and binds the zipper link of each position it tries,
+not its context: the context is plugged only when a matcher is yielded or
+the variable is met again, and then goes back into the same slot.
 
 The search keeps its bindings in one environment, a ``dict``: it binds,
 recurses and unbinds on backtracking, and the dict's insertion order serves
@@ -84,7 +91,7 @@ def _match(pat: tuple, i: int, subj: tuple, j: int, later, env: dict):
                     j = len(subj)
                 else:  # shortest prefixes first
                     mark = len(env)
-                    for k in range(j, len(subj) + 1):
+                    for k in _splits(pat, i, subj, j, env):
                         env[p] = flat_hedge(subj[j:k], True, 0)
                         yield from _match(pat, i, subj, k, later, env)
                         _undo(env, mark)
@@ -115,17 +122,24 @@ def _match(pat: tuple, i: int, subj: tuple, j: int, later, env: dict):
                     mark = len(env)
                     frame = (pat, i, subj, j, later)
                     # A symbol-headed argument can match only a subterm
-                    # with the same head; other positions get no context.
+                    # with the same head; other positions are passed over.
                     arg = p.args.items[0]
                     lead = arg.head if isinstance(arg, Apply) \
                         and isinstance(arg.head, str) else None
                     for link, sub in decompositions(s):
                         if lead is not None and sub.head != lead:
                             continue
-                        env[head] = plug(link, HOLE)
-                        yield from _match(p.args.items, 0, (sub,), 0, frame, env)
+                        # The context stays a link until a matcher or a
+                        # second occurrence needs it; the root's is the hole.
+                        env[head] = HOLE if link is None else link
+                        for _ in _match(p.args.items, 0, (sub,), 0, frame, env):
+                            if type(env[head]) is tuple:
+                                env[head] = plug(env[head], HOLE)
+                            yield env
                         _undo(env, mark)
                     return
+                if type(image) is tuple:  # same slot, so the trail holds
+                    image = env[head] = plug(image, HOLE)
                 s = _at_hole(image, s)
                 if s is None:
                     return
@@ -140,6 +154,43 @@ def _match(pat: tuple, i: int, subj: tuple, j: int, later, env: dict):
             return
         later = (pat, i, subj, j, later)
         pat, i, subj, j = p.args.items, 0, s.args.items, 0
+
+
+def _splits(pat: tuple, i: int, subj: tuple, j: int, env: dict):
+    """The ends ``k``, shortest first, of the images ``subj[j:k]`` worth
+    trying for the sequence variable before ``pat[i]``.
+
+    A split is passed over if ``pat[i:]`` cannot fill ``subj[k:]``, or if
+    ``pat[i]`` cannot start at ``subj[k]``.  ``pat[i:]`` needs an item for
+    each term and the image of each bound sequence variable, and no more
+    unless it holds an unbound one.  At ``subj[k]``, a ground term must
+    equal it, a symbol or bound function variable head must be its head,
+    and a bound individual variable's image must equal it.
+    """
+    stop, exact = len(subj), True
+    for q in pat[i:]:
+        if isinstance(q, Var) and q.kind == "s":
+            image = env.get(q)
+            if image is None:
+                exact = False
+            else:
+                stop -= len(image.items)
+        else:
+            stop -= 1
+    ends = range(max(j, stop) if exact else j, stop + 1)
+    q = pat[i]
+    if isinstance(q, Var):  # of the variables, only a bound ``i_`` decides
+        q = env.get(q) if q.kind == "i" else None
+        if q is None:
+            return ends
+    head = q.head
+    if isinstance(head, Var):
+        head = None if head.kind == "c" else env.get(head)
+        if head is None:
+            return ends
+    if q.ground:  # the heads first: most terms differ there
+        return [k for k in ends if subj[k].head == head and subj[k] == q]
+    return [k for k in ends if subj[k].head == head]
 
 
 def _undo(env: dict, mark: int) -> None:

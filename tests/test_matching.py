@@ -6,7 +6,16 @@ import random
 import pytest
 
 from rholog.matching import check_subject, decompositions, match_hedge, plug
-from rholog.terms import HOLE, Apply, Hedge, Var, apply_context, apply_subst, singleton
+from rholog.terms import (
+    HOLE,
+    Apply,
+    Hedge,
+    Var,
+    apply_context,
+    apply_subst,
+    flat_hedge,
+    singleton,
+)
 
 from conftest import (
     DEEP,
@@ -19,7 +28,9 @@ from conftest import (
     iv,
     matcher_set,
     named,
+    random_ground_hedge,
     random_ground_term,
+    random_instantiation,
     random_match_case,
     sv,
 )
@@ -359,7 +370,63 @@ _NON_LINEAR = [
     (h(_fF(iv("X")), _fF(iv("X"))), h(a("g", a("a")), a("g", a("b")))),
     (h(iv("X"), _cX(iv("X"))), h(a("a"), a("f", a("a"), a("g", a("a"))))),
     (h(iv("X"), _cX(iv("X"))), h(a("f", a("a")), a("f", a("a")))),
+    # A sequence variable before each kind of item its split check decides
+    # on: a ground term, a symbol head, a bound and an unbound function
+    # variable head, a bound and an unbound individual variable (the latter
+    # twice, so only the length bound cuts), a bound and an unbound sequence
+    # variable, and a context variable head.
+    (h(sv("1"), a("b"), sv("2")), h(a("a"), a("b"), a("a"), a("b"))),
+    (h(sv("1"), a("f", iv("Y")), sv("2")),
+     h(a("f", a("a")), a("g", a("b")), a("f", a("b")))),
+    (h(_fF(iv("X")), sv("1"), _fF(iv("Y")), sv("2")),
+     h(a("g", a("a")), a("f", a("a")), a("g", a("b")), a("g", a("c")))),
+    (h(sv("1"), _fF(a("b")), sv("2")), h(a("a"), a("f", a("b")), a("g", a("b")))),
+    (h(iv("X"), sv("1"), iv("X"), sv("2")), h(a("a"), a("b"), a("a"), a("a"))),
+    (h(sv("1"), iv("X"), iv("Y")), h(a("a"), a("b"), a("c"))),
+    (h(sv("X"), a("b"), sv("1"), sv("X")), h(a("a"), a("b"), a("c"), a("a"))),
+    (h(sv("X"), a("b"), sv("1"), sv("X")), h(a("a"), a("b"), a("a"))),
+    (h(sv("1"), sv("2"), a("b")), h(a("b"), a("b"))),
+    (h(sv("1"), _cX(a("b")), sv("2")), h(a("a"), a("f", a("b")), a("b"))),
+    # Repeated context variables: the second occurrence plugs the first's
+    # context, which until then is only a position.
+    (h(_cX(iv("Y")), _cX(iv("Z"))), h(a("f", a("a"), a("b")), a("f", a("c"), a("b")))),
+    (h(_cX(_fF(a("b"))), sv("1"), _cX(iv("Z"))),
+     h(a("g", a("f", a("b"))), a("a"), a("g", a("c")))),
+    (h(_cX(_cX(iv("Y")))), h(a("f", a("f", a("a"))))),
+    (h(sv("1"), _cX(iv("Y")), sv("2"), _cX(a("a"))),
+     h(a("f", a("a")), a("g", a("b")), a("g", a("a")))),
 ]
+
+
+#: What follows the sequence variable ``s_1`` in a ``_split_case`` pattern,
+#: with the items that must come before ``s_1`` to bind its variable: one
+#: entry for each way the split check decides.
+_FOLLOWERS = {
+    "ground": lambda rng: ((), random_ground_term(rng, 1)),
+    "symbol": lambda rng: ((), a(rng.choice("abf"), iv("Y"))),
+    "bound f": lambda rng: ((_fF(sv("A")),), _fF(iv("Y"))),
+    "bound i": lambda rng: ((iv("X"),), iv("X")),
+    "bound s": lambda rng: ((sv("X"),), sv("X")),
+    "s": lambda rng: ((), sv("2")),
+    "c": lambda rng: (rng.choice(((), (_cX(iv("Z")),))), _cX(iv("Y"))),
+}
+
+
+def _split_case(rng, follower):
+    """A hedge of 3 to 6 items in which ``s_1`` is followed by ``follower``'s
+    item, and a subject of at most 8 items: half the time an instance of
+    the pattern, so that matchers usually exist."""
+    before, item = _FOLLOWERS[follower](rng)
+    core = before + (sv("1"), item)
+    fillers = [rng.choice((a(rng.choice("ab")), iv(f"W{n}"), sv(f"T{n}")))
+               for n in range(max(0, rng.randint(3, 6) - len(core)))]
+    cut = rng.randint(0, len(fillers))
+    pattern = Hedge(fillers[:cut] + list(core) + fillers[cut:])
+    if rng.random() < 0.5:
+        subject = apply_subst(random_instantiation(rng, pattern), pattern)
+        if len(subject) <= 8:
+            return pattern, subject
+    return pattern, random_ground_hedge(rng, 8, 1)
 
 
 class TestOrderAgainstSubstitution:
@@ -375,6 +442,19 @@ class TestOrderAgainstSubstitution:
     def test_non_linear_cases_match(self):
         # The fixed cases are not all failures: most of them have matchers.
         assert sum(1 for p, s in _NON_LINEAR if any(match_hedge(p, s))) >= 10
+
+    @pytest.mark.parametrize("follower", sorted(_FOLLOWERS))
+    def test_split_checks(self, follower):
+        # 100 cases for each kind of item after a sequence variable, 700 in
+        # all; enough of them have matchers that a split skipped wrongly
+        # shows as a lost matcher.
+        rng = random.Random(f"split-{follower}")
+        matched = 0
+        for _ in range(100):
+            pattern, subject = _split_case(rng, follower)
+            _assert_same_order(pattern, subject)
+            matched += any(match_hedge(pattern, subject))
+        assert matched >= 40
 
 
 @given(st.randoms(use_true_random=False))
@@ -501,3 +581,65 @@ class TestDeepTerms:
             assert ctx.head == "f" and ctx.holes == 1
             ctx = ctx.args.items[0]
         assert ctx == HOLE
+
+    def test_a_lazy_context_is_plugged_once(self, monkeypatch):
+        # c_X(f_F(b)) against f(...f(b)...): f_F(b) has no symbol lead, so
+        # every position is tried, but only the one above the leaf matches,
+        # and only its context is plugged.
+        import rholog.matching
+
+        depth = 20_000
+        t = a("b")
+        for _ in range(depth):
+            t = a("f", t)
+        plugged = []
+
+        def counting_plug(link, new):
+            plugged.append(new)
+            return plug(link, new)
+
+        monkeypatch.setattr(rholog.matching, "plug", counting_plug)
+        pattern = Apply(cv("X"), singleton(Apply(fv("F"), singleton(a("b")))))
+        matchers = list(match_hedge(h(pattern), h(t)))
+        assert len(matchers) == 1 and plugged == [HOLE]
+        assert matchers[0][fv("F")] == "f"
+        ctx = matchers[0][cv("X")]
+        for _ in range(depth - 1):
+            assert ctx.head == "f" and ctx.holes == 1
+            ctx = ctx.args.items[0]
+        assert ctx == HOLE
+
+
+class TestSplitsThatCannotMatch:
+    """A sequence variable's splits that cannot match build no image."""
+
+    @pytest.fixture
+    def images(self, monkeypatch):
+        import rholog.matching
+
+        built = []
+
+        def counting_flat_hedge(items, ground, holes):
+            built.append(items)
+            return flat_hedge(items, ground, holes)
+
+        monkeypatch.setattr(rholog.matching, "flat_hedge", counting_flat_hedge)
+        return built
+
+    def test_a_split_that_cannot_start_builds_no_image(self, images):
+        # (s_1, b, s_2) against a, ..., a, b: b starts only at the last
+        # item, so s_1 gets one image and the trailing s_2 the other.
+        subject = Hedge((a("a"),) * 1000 + (a("b"),))
+        matchers = list(match_hedge(h(sv("1"), a("b"), sv("2")), subject))
+        assert [named(m) for m in matchers] == \
+            [{sv("1"): Hedge((a("a"),) * 1000), sv("2"): Hedge()}]
+        assert len(images) == 2
+
+    def test_a_split_past_the_length_bound_builds_no_image(self, images):
+        # (s_1, i_X, i_Y) against 1000 a's: the two individual variables
+        # take exactly the last two items, so only one split fits.
+        subject = Hedge((a("a"),) * 1000)
+        matchers = list(match_hedge(h(sv("1"), iv("X"), iv("Y")), subject))
+        assert [named(m) for m in matchers] == \
+            [{sv("1"): Hedge((a("a"),) * 998), iv("X"): a("a"), iv("Y"): a("a")}]
+        assert len(images) == 1
