@@ -129,8 +129,9 @@ def _match(pat: tuple, i: int, subj: tuple, j: int, later, env: dict):
                     for link, sub in decompositions(s):
                         if lead is not None and sub.head != lead:
                             continue
-                        # The context stays a link until a matcher or a
-                        # second occurrence needs it; the root's is the hole.
+                        # The context stays a link (a tuple) until a
+                        # matcher or a second occurrence needs it; the
+                        # root's is the hole.
                         env[head] = HOLE if link is None else link
                         for _ in _match(p.args.items, 0, (sub,), 0, frame, env):
                             if type(env[head]) is tuple:
@@ -138,7 +139,7 @@ def _match(pat: tuple, i: int, subj: tuple, j: int, later, env: dict):
                             yield env
                         _undo(env, mark)
                     return
-                if type(image) is tuple:  # same slot, so the trail holds
+                if type(image) is tuple:  # plugged in place: the trail holds
                     image = env[head] = plug(image, HOLE)
                 s = _at_hole(image, s)
                 if s is None:

@@ -372,9 +372,9 @@ _NON_LINEAR = [
     (h(iv("X"), _cX(iv("X"))), h(a("f", a("a")), a("f", a("a")))),
     # A sequence variable before each kind of item its split check decides
     # on: a ground term, a symbol head, a bound and an unbound function
-    # variable head, a bound and an unbound individual variable (the latter
-    # twice, so only the length bound cuts), a bound and an unbound sequence
-    # variable, and a context variable head.
+    # variable head, a bound individual variable, two unbound ones (where
+    # only the length bound cuts), a bound and an unbound sequence variable,
+    # and a context variable head.
     (h(sv("1"), a("b"), sv("2")), h(a("a"), a("b"), a("a"), a("b"))),
     (h(sv("1"), a("f", iv("Y")), sv("2")),
      h(a("f", a("a")), a("g", a("b")), a("f", a("b")))),
@@ -596,6 +596,7 @@ class TestDeepTerms:
 
         def counting_plug(link, new):
             plugged.append(new)
+            assert len(plugged) == 1, "a context was plugged at a position that failed"
             return plug(link, new)
 
         monkeypatch.setattr(rholog.matching, "plug", counting_plug)
