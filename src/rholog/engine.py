@@ -3,7 +3,11 @@
 Consulting compiles each clause once into a :class:`CompiledClause` record:
 its number ``k``, its input pattern ``head_in`` (a rule's strategy and lhs,
 a predicate's ``+`` arguments), its output pattern ``head_out`` (the rhs,
-the ``-`` arguments), its body and its line.  A :class:`Program` keeps the
+the ``-`` arguments), its body and its line.  A clause's first activation
+adds its instantiation plan: one builder per body literal and one for
+``head_out``, compiled from the clause much as a WAM compiles a clause body
+into the code that builds its instance (Warren 1983), and the clause-local
+variables that each activation names afresh.  A :class:`Program` keeps the
 records of each strategy, and of each predicate name and arity, in a
 :class:`ClauseIndex` by the symbol that leads their input.  The index only
 filters: clauses are still tried top-down in source order.  Queries run on
@@ -19,8 +23,9 @@ alternatives, each a rewritten goal:
   the index gives for the subject's first lhs element: for clause
   ``st' :: lhs' ==> rhs' :- body`` and each matcher ``σ`` of the un-renamed
   ``(st', lhs')`` against the ground ``(st, lhs)``, the literal becomes
-  ``bodyσ`` followed by a forced match of its rhs against ``rhs'σ``; ``σ``
-  renames only the clause-local variables it leaves unbound;
+  ``bodyσ`` followed by a forced match of its rhs against ``rhs'σ``, where
+  ``σ`` is extended with a fresh variable for each clause-local variable
+  and the clause's plan builds the instance;
 * a forced match enumerates matchers of its pattern against its
   now-ground subject, applying each one to the remaining goal and to the
   answer under construction;
@@ -64,6 +69,7 @@ from .program import (
     SourceProgram,
     apply_to_literal,
     expand_abbreviation,
+    literal_builder,
     literal_vars,
 )
 from .syntax import (
@@ -77,14 +83,14 @@ from .syntax import (
 )
 from .terms import (
     Apply,
-    HOLE,
     Hedge,
     Var,
-    apply_subst,
     flat_hedge,
     int_value,
     num,
     singleton,
+    subst_builder,
+    vars_of,
 )
 from .wellmoded import BUILTIN_PREDICATES, ModeTable, check_program, check_query, mode_table_of
 
@@ -109,14 +115,16 @@ class DepthLimitExceeded(Exception):
     pass
 
 
-class CompiledClause(NamedTuple):
+@dataclass(eq=False, slots=True)
+class CompiledClause:
     """A clause as consulting leaves it: its head split into two patterns.
 
     ``k`` numbers the clause among its strategy's clauses, or among all
     clauses of its predicate's name, from 1.  ``head_in`` is what a
     selected literal's input is matched against: a rule's strategy followed
     by its lhs, or a predicate's ``+`` arguments.  ``head_out`` is a rule's
-    rhs, or a predicate's ``-`` arguments.
+    rhs, or a predicate's ``-`` arguments.  ``plan`` is the clause's
+    :class:`_Plan`, built when the clause is first activated.
     """
 
     k: int
@@ -124,6 +132,32 @@ class CompiledClause(NamedTuple):
     head_out: Hedge
     body: Body
     line: int
+    plan: Optional[_Plan] = None
+
+
+class _Plan(NamedTuple):
+    """How to instantiate a clause for a matcher of its ``head_in``.
+
+    ``locals`` are the variables of the body and ``head_out`` that
+    ``head_in`` lacks, in the order ``apply_subst`` would meet them: body
+    literal by literal (``!`` skipped; strategy, lhs, rhs), then
+    ``head_out``.  ``body`` holds a builder per body literal (``None`` for
+    ``!``) and ``out`` the builder of ``head_out``; each builds its
+    instance from the matcher extended with a fresh variable per local.
+    """
+
+    locals: tuple
+    body: tuple
+    out: Callable
+
+
+def _plan(clause: CompiledClause) -> _Plan:
+    bound = set(vars_of(clause.head_in))
+    local: dict = {}
+    body = tuple(None if isinstance(lit, CutLiteral)
+                 else literal_builder(lit, bound, local) for lit in clause.body)
+    out = subst_builder(clause.head_out, bound, local)
+    return _Plan(tuple(local), body, out)
 
 
 _by_k = attrgetter("k")
@@ -407,16 +441,23 @@ class Session:
     def fresh_var(self, kind: str, stem: str) -> Var:
         return Var(kind, f"{stem}#{next(self._fresh)}")
 
-    def rename_clause(self, clause: CompiledClause, sigma, cut):
+    def rename_clause(self, clause: CompiledClause, sigma: dict, cut):
         """A clause's ``(body, head_out)`` under its matcher ``sigma``.
 
-        In the same pass, ``!`` becomes ``cut`` and each variable ``sigma``
-        leaves unbound gets a fresh name, so activations of a clause stay apart.
+        ``sigma`` gets a fresh variable for each of the clause's locals, in
+        the plan's order, so activations of a clause stay apart; then the
+        plan's builders make the instance, with ``!`` as ``cut``.  The plan
+        is built at the clause's first activation.
         """
-        mapping = _Renaming(sigma, self._fresh)
-        body = tuple(cut if isinstance(lit, CutLiteral)
-                     else apply_to_literal(mapping, lit) for lit in clause.body)
-        return body, apply_subst(mapping, clause.head_out)
+        plan = clause.plan
+        if plan is None:
+            plan = clause.plan = _plan(clause)
+        fresh = self._fresh
+        for var in plan.locals:
+            sigma[var] = Var(var.kind, f"{var.name}#{next(fresh)}", var.anon)
+        body = tuple([cut if build is None else build(sigma)
+                      for build in plan.body])
+        return body, plan.out(sigma)
 
     def report(self, message: str) -> None:
         self.runtime_errors.append(message)
@@ -448,22 +489,6 @@ class Session:
 
     def check_query(self, query: Query):
         return check_query(query, self.program.modes)
-
-
-class _Renaming(dict):
-    """A matcher's bindings; each variable it leaves unbound gets a fresh name."""
-
-    def __init__(self, bindings, counter):
-        super().__init__(bindings)
-        self.counter = counter
-
-    def get(self, var):
-        image = dict.get(self, var)
-        if image is None:
-            fresh = Var(var.kind, f"{var.name}#{next(self.counter)}", var.anon)
-            image = self[var] = Apply(fresh, singleton(HOLE)) \
-                if var.kind == "c" else fresh
-        return image
 
 
 def _with_named(bindings: dict, sigma: dict, names) -> dict:

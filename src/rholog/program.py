@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Tuple, Union
 
-from .terms import Apply, Hedge, Var, apply_subst, singleton, vars_of
+from .terms import Apply, Hedge, Var, apply_subst, singleton, subst_builder, vars_of
 
 
 @dataclass(frozen=True)
@@ -197,3 +197,20 @@ def apply_to_literal(subst, lit: Literal) -> Literal:
         return ForcedMatch(apply_subst(subst, lit.pattern),
                            apply_subst(subst, lit.subject))
     return lit
+
+
+def literal_builder(lit: Literal, bound, local: dict):
+    """``apply_to_literal`` of a clause body literal, compiled as by
+    :func:`rholog.terms.subst_builder`: a function of the substitution.
+
+    The strategy, lhs and rhs are compiled in that order, so ``local``
+    gets their variables in the order ``apply_to_literal`` meets them.
+    """
+    if isinstance(lit, RhoLiteral):
+        strategy, lhs, rhs = (subst_builder(value, bound, local)
+                              for value in (lit.strategy, lit.lhs, lit.rhs))
+        negative = lit.negative
+        return lambda subst: RhoLiteral(strategy(subst), lhs(subst), rhs(subst),
+                                        negative)
+    term = subst_builder(lit.term, bound, local)
+    return lambda subst: PredLiteral(term(subst))

@@ -39,7 +39,8 @@ just checked or computed from the children.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 HOLE_NAME = "hole"
 
@@ -62,6 +63,8 @@ class Var:
     kind: str
     name: str
     anon: bool = False
+    # Dicts keyed by variables hash them on every lookup.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     # A variable is never ground and holds no hole.
     ground = False
@@ -70,6 +73,10 @@ class Var:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown variable kind {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.anon)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def text(self) -> str:
         return f"{self.kind}_" if self.anon else f"{self.kind}_{self.name}"
@@ -291,8 +298,9 @@ def apply_subst(subst, value):
     the (rewritten) argument in place of the hole.  Ground values come back
     as the very same objects.
 
-    ``subst`` may be any mapping with ``get``: a matcher's plain ``dict``,
-    or the engine's renaming, whose ``get`` names unbound variables on demand.
+    ``subst`` is a ``dict``, typically a matcher; a variable it leaves
+    unbound stays as it is.  Clause activation does not come here: it runs
+    builders compiled by :func:`subst_builder`.
     """
     if isinstance(value, Hedge):
         if value.ground:
@@ -343,6 +351,116 @@ def _apply_elem(subst, elem):
         return Apply(head if image is None else image,
                      _apply_items(subst, elem.args.items))
     raise TypeError(f"not a syntax value: {elem!r}")
+
+
+def subst_builder(value, bound, local: dict) -> Callable:
+    """``apply_subst`` of ``value``, compiled into a function of the substitution.
+
+    The substitution binds each variable of ``bound`` to a ground image, as
+    a matcher of a ground, hole-free subject does, and each other variable
+    of ``value`` to a variable of its kind (a fresh one, at clause
+    activation); a local context variable then heads its instantiated
+    argument.  So the facts of every built node are known here: it is
+    ground exactly when its source holds only variables of ``bound``, and
+    it holds as many holes as its source.  The function therefore builds
+    hedges and symbol applications through the trusted constructors, and
+    looks up only the variables it meets.  Ground sub-values are kept, not
+    compiled, so they cost no recursion, now or when the function runs.
+
+    The variables outside ``bound`` are added to ``local``, a dict used as
+    an ordered set, in the order :func:`apply_subst` first meets them: in
+    pre-order, except that a context variable comes after its argument.
+    """
+    if isinstance(value, Var) and value.kind == "s" and value in bound:
+        def sequence_image(subst):
+            raise ValueError(f"sequence image {subst[value]!r} cannot stand as a term")
+        return sequence_image
+    return _builder(value, bound, local)[0]
+
+
+# The builders below take what they use as default arguments: a plan keeps
+# one function per non-ground node, and defaults cost less than closure cells.
+
+def _builder(value, bound, local: dict):
+    """The builder of ``value``, and whether what it builds is ground."""
+    if value.ground:
+        return (lambda subst, value=value: value), True
+    if isinstance(value, Hedge):
+        return _hedge_builder(value, bound, local)
+    if isinstance(value, Var):
+        if value not in bound:
+            local[value] = None
+        return itemgetter(value), value in bound
+    head = value.head
+    if not isinstance(head, Var):
+        args, ground = _hedge_builder(value.args, bound, local)
+        return (lambda subst, head=head, args=args:
+                symbol_apply(head, args(subst))), ground
+    if head.kind == "c":
+        arg, ground = _builder(value.args.items[0], bound, local)
+        if head in bound:
+            return (lambda subst, head=head, arg=arg:
+                    apply_context(subst[head], arg(subst))), ground
+        local[head] = None
+        return (lambda subst, head=head, arg=arg:
+                Apply(subst[head], singleton(arg(subst)))), False
+    if head not in bound:
+        local[head] = None
+    args, ground = _builder(value.args, bound, local)
+    if head in bound:
+        return (lambda subst, head=head, args=args:
+                symbol_apply(subst[head], args(subst))), ground
+    return (lambda subst, head=head, args=args:
+            Apply(subst[head], args(subst))), False
+
+
+# How an item of a hedge is built: the ground item itself, the item's
+# image, the items of a sequence variable's image, or the item's builder.
+_ITEM, _IMAGE, _SPLICE, _BUILT = range(4)
+
+
+def _hedge_builder(hedge: Hedge, bound, local: dict):
+    """The builder of a non-ground hedge, and whether what it builds is ground."""
+    parts = []
+    ground = True
+    for item in hedge.items:
+        if item.ground:
+            parts.append((_ITEM, item))
+        elif isinstance(item, Var):
+            if item not in bound:
+                local[item] = None
+                ground = False
+                parts.append((_IMAGE, item))
+            else:
+                parts.append((_SPLICE if item.kind == "s" else _IMAGE, item))
+        else:
+            build, item_ground = _builder(item, bound, local)
+            ground = ground and item_ground
+            parts.append((_BUILT, build))
+    holes = hedge.holes
+    if len(parts) == 1:
+        how, x = parts[0]
+        if how == _SPLICE:      # the image is the hedge
+            return itemgetter(x), True
+        if how == _IMAGE:
+            return (lambda subst, var=x, ground=ground, holes=holes:
+                    flat_hedge((subst[var],), ground, holes)), ground
+        return (lambda subst, build=x, ground=ground, holes=holes:
+                flat_hedge((build(subst),), ground, holes)), ground
+
+    def build_hedge(subst, parts=tuple(parts), ground=ground, holes=holes):
+        items = []
+        for how, x in parts:
+            if how == _ITEM:
+                items.append(x)
+            elif how == _IMAGE:
+                items.append(subst[x])
+            elif how == _SPLICE:
+                items += subst[x].items
+            else:
+                items.append(x(subst))
+        return flat_hedge(tuple(items), ground, holes)
+    return build_hedge, ground
 
 
 def apply_context(ctx, t):

@@ -11,6 +11,8 @@ import pytest
 import rholog
 from rholog.cli import Repl, main, run_batch
 
+from conftest import DEEP
+
 
 def batch(args=None, **kwargs):
     out, err, in_ = io.StringIO(), io.StringIO(), io.StringIO(kwargs.pop("stdin", ""))
@@ -303,6 +305,17 @@ class TestRecursionBackstop:
         assert "error: nested too deeply" in run.stderr
         assert "Traceback" not in run.stderr
         assert "i_X = a" in run.stdout
+
+
+def test_deep_nonground_rhs_exit_2(tmp_path):
+    # Instantiating a clause whose rhs nests a variable 100,000 deep
+    # exhausts the recursion limit: a rholog error, not a traceback.
+    path = tmp_path / "deep.rholog"
+    path.write_text("deep :: i_X ==> " + "f(" * DEEP + "i_X" + ")" * DEEP + ".\n")
+    run = _run_module("--consult", str(path), "--query", "deep :: a ==> i_Y")
+    assert run.returncode == 2
+    assert "error: nested too deeply" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def repl_session(script, files=()):

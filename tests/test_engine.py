@@ -2,6 +2,7 @@
 built-ins, consulting, and laziness."""
 
 import io
+import itertools
 import random
 import re
 import sys
@@ -19,11 +20,14 @@ from rholog.engine import (
     consult_text,
 )
 from rholog.matching import match_hedge
-from rholog.strategies import Interaction, corpus_source
+from rholog.program import CutLiteral, PredLiteral, RhoClause, RhoLiteral, SourceProgram, \
+    apply_to_literal
+from rholog.strategies import Interaction, corpus_source, list_corpus
 from rholog.syntax import parse_hedge, parse_program, parse_term
-from rholog.terms import Hedge, apply_subst
+from rholog.terms import HOLE, Apply, Hedge, Var, apply_subst, singleton, symbol_apply
 
-from conftest import a
+from conftest import DEEP, a, random_instantiation
+from test_acceptance import _random_rule_system
 
 
 def hedges(session, query):
@@ -312,16 +316,28 @@ class TestOneStack:
         # The cut of a first_one or interactive probe and the end of a
         # negation hold no variable; no matcher is applied to them.  No
         # clause of pick calls fail, so a mapped fail ends a negation.
+        # Literals are mapped by forced matches and, at clause activation,
+        # by the builders of the clause's plan: both are recorded.
         import rholog.engine
 
         mapped = []
         apply = rholog.engine.apply_to_literal
+        compile_literal = rholog.engine.literal_builder
 
         def recording(subst, lit):
             mapped.append(lit)
             return apply(subst, lit)
 
+        def recording_builder(lit, *args):
+            build = compile_literal(lit, *args)
+
+            def recorded(subst):
+                mapped.append(lit)
+                return build(subst)
+            return recorded
+
         monkeypatch.setattr(rholog.engine, "apply_to_literal", recording)
+        monkeypatch.setattr(rholog.engine, "literal_builder", recording_builder)
         replies = iter(["step.", "finish."])
         session = Session(consult_text(MARKED), out=io.StringIO(),
                           interaction=Interaction(
@@ -630,3 +646,178 @@ class TestTrace:
         assert "select true" in text
         assert "select i_X is 1 + 1" in text
         assert "cut to level" in text
+
+
+class _NamingOnDemand(dict):
+    """The reference renaming: a matcher whose ``get`` gives each variable it
+    leaves unbound a fresh name, so ``apply_subst`` names them in the order
+    it meets them."""
+
+    def __init__(self, bindings, counter):
+        super().__init__(bindings)
+        self.counter = counter
+
+    def get(self, var):
+        image = dict.get(self, var)
+        if image is None:
+            fresh = Var(var.kind, f"{var.name}#{next(self.counter)}", var.anon)
+            image = self[var] = Apply(fresh, singleton(HOLE)) \
+                if var.kind == "c" else fresh
+        return image
+
+
+def _rename_by_walk(clause, sigma, cut):
+    """A clause's ``(body, head_out)`` under ``sigma``, by ``apply_subst``."""
+    mapping = _NamingOnDemand(sigma, itertools.count(1))
+    body = tuple(cut if isinstance(lit, CutLiteral)
+                 else apply_to_literal(mapping, lit) for lit in clause.body)
+    return body, apply_subst(mapping, clause.head_out)
+
+
+def _clauses(program):
+    indexes = list(program.rho.values())
+    indexes += [index for by_arity in program.preds.values()
+                for index in by_arity.values()]
+    for index in indexes:
+        groups = [index.var_led, index.empty, *index.keyed.values()]
+        yield from sorted(itertools.chain(*groups), key=lambda c: c.k)
+
+
+def _facts_hold(value):
+    """Every node's ``ground`` and ``holes`` are those its children give."""
+    if isinstance(value, Var):
+        return True
+    if isinstance(value, Hedge):
+        return (value.ground == all(item.ground for item in value.items)
+                and value.holes == sum(item.holes for item in value.items)
+                and all(_facts_hold(item) for item in value.items))
+    if value.head == "hole":
+        return value.ground and value.holes == 1
+    return (value.ground == (value.args.ground and isinstance(value.head, str))
+            and value.holes == value.args.holes and _facts_hold(value.args))
+
+
+def _literal_values(lit):
+    if isinstance(lit, RhoLiteral):
+        return (lit.strategy, lit.lhs, lit.rhs)
+    if isinstance(lit, PredLiteral):
+        return (lit.term,)
+    return ()
+
+
+def _activate_both_ways(clause, sigma):
+    session = Session(consult_text(""))
+    cut = object()
+    got = session.rename_clause(clause, dict(sigma), cut)
+    return got, _rename_by_walk(clause, sigma, cut)
+
+
+#: Locals of all four kinds, anonymous ones too, in body literals and in
+#: head_out, among ``!`` and ground literals.
+ALL_LOCALS = (
+    "p :: i_X ==> h(i_X, c_D(i_E), s_) :-\n"
+    "    write(g(f_F(s_S, i_Y), c_C(i_Z), i_, s_, f_(a), c_(i_W), i_X)),\n"
+    "    nl, !, q :: i_X ==> i_R, write(i_R), nl.\n"
+    "q :: i_A ==> k(i_A) :- write(f_G(s_U)), nl.\n")
+
+
+class TestClauseActivation:
+    """A clause's instantiation plan builds what ``apply_subst`` built."""
+
+    def test_fresh_variable_numbering(self):
+        # A local context variable's argument is numbered first.
+        program = consult_text(ALL_LOCALS, strict=False)
+        out, trace, err = io.StringIO(), io.StringIO(), io.StringIO()
+        session = Session(program, out=out, trace=trace, err=err)
+        assert list(session.solve_text("p :: a ==> i_Out", check=False)) == []
+        assert out.getvalue() == (
+            "g(f_F#1(s_S#2, i_Y#3), c_C#5(i_Z#4), i_, s_, f_(a), c_(i_W#9), a)\n"
+            "f_G#15(s_U#16)\n"
+            "k(a)\n")
+        assert trace.getvalue() == (
+            "[1] select p :: a ==> i_Out\n"
+            "[2] p :: a ==> i_Out | clause 1, matcher 1\n"
+            "[2] select write(g(f_F#1(s_S#2, i_Y#3), c_C#5(i_Z#4), i_, s_, "
+            "f_(a), c_(i_W#9), a))\n"
+            "[3] select nl\n"
+            "[4] select ! | cut to level 1\n"
+            "[2] select q :: a ==> i_R#11\n"
+            "[3] q :: a ==> i_R#11 | clause 1, matcher 1\n"
+            "[3] select write(f_G#15(s_U#16))\n"
+            "[4] select nl\n"
+            "[5] select i_R#11 <~ k(a)\n"
+            "[6] match i_R#11 against k(a) | matcher 1\n"
+            "[6] select write(k(a))\n"
+            "[7] select nl\n"
+            "[8] select i_Out <~ h(a, c_D#13(i_E#12), s_)\n")
+        assert err.getvalue() == ("error: input of i_Out <~ h(a, c_D#13(i_E#12), s_) "
+                                  "is not ground and hole-free\n")
+
+    def test_plans_agree_with_apply_subst(self):
+        # Every corpus clause and random rule system clause, under ground
+        # images for its head_in: the same instance, the same fresh names,
+        # and the right facts at every node.
+        rng = random.Random(0xC1A05E)
+        programs = [consult_text(corpus_source(name), strict=False)
+                    for name in list_corpus()]
+        programs.append(consult_text(ALL_LOCALS, strict=False))
+        # The parser admits no hole in a clause; built ones may hold some.
+        x, z, c = Var("i", "X"), Var("i", "Z"), Var("c", "C")
+        programs.append(consult(SourceProgram([RhoClause(
+            RhoLiteral(a("holes"), Hedge((x, Apply(c, singleton(z)))),
+                       Hedge((a("f", HOLE, x), x, HOLE, Apply(c, singleton(HOLE))))),
+            (PredLiteral(a("write", a("g", HOLE, Var("i", "Y")))),))]),
+            strict=False))
+        programs += [consult(SourceProgram(_random_rule_system(rng)))
+                     for _ in range(60)]
+        checked = 0
+        for program in programs:
+            for clause in _clauses(program):
+                for _ in range(3):
+                    sigma = random_instantiation(rng, clause.head_in)
+                    got, want = _activate_both_ways(clause, sigma)
+                    assert got == want
+                    got_body, got_out = got
+                    for lit in got_body:
+                        for value in _literal_values(lit):
+                            assert _facts_hold(value)
+                    assert _facts_hold(got_out)
+                    checked += 1
+        assert checked > 300
+
+    def test_sequence_image_as_strategy_raises_the_same_error(self):
+        (clause,) = _clauses(consult_text(
+            "st(s_X) :: a ==> i_Y :- s_X :: a ==> i_Y.\n"))
+        sigma = {Var("s", "X"): parse_hedge("(b, c)")}
+        with pytest.raises(ValueError) as want:
+            _rename_by_walk(clause, sigma, None)
+        with pytest.raises(ValueError) as got:
+            Session(consult_text("")).rename_clause(clause, dict(sigma), None)
+        assert str(got.value) == str(want.value) == \
+            "sequence image (b, c) cannot stand as a term"
+
+    def test_deep_ground_rhs_is_kept_not_rebuilt(self, default_recursion_limit):
+        deep = a("a")
+        for _ in range(DEEP):
+            deep = symbol_apply("f", singleton(deep))
+        program = consult(SourceProgram([RhoClause(RhoLiteral(
+            a("deep"), singleton(Var("i", "X")),
+            Hedge((Var("i", "X"), Var("i", "Y"), deep))))]), strict=False)
+        (clause,) = _clauses(program)
+        body, out = Session(program).rename_clause(
+            clause, {Var("i", "X"): a("b")}, None)
+        assert body == ()
+        assert out.items[0] == a("b") and out.items[1] == Var("i", "Y#1")
+        assert out.items[2] is deep
+
+    def test_plans_are_built_at_first_activation(self):
+        program = consult_text(corpus_source("examples/strat.rholog"))
+        clauses = list(_clauses(program))
+        assert all(clause.plan is None for clause in clauses)
+        session = Session(program)
+        assert list(session.solve_text("str1 :: (a, b, a, f(a)) ==> s_X"))
+        activated = [clause for clause in clauses if clause.plan is not None]
+        assert activated and len(activated) < len(clauses)
+        plans = [clause.plan for clause in activated]
+        list(session.solve_text("str1 :: (a, b, a, f(a)) ==> s_X"))
+        assert all(clause.plan is plan for clause, plan in zip(activated, plans))

@@ -94,6 +94,25 @@ class TestClauses:
         clause = self._clause("bad :: a ==> i_.")
         assert _kinds(check_clause(clause)) == [UNBOUND_INPUT]
 
+    def test_fact_with_ground_rhs_walks_no_term(self, monkeypatch):
+        import rholog.wellmoded
+
+        def no_walk(value):
+            raise AssertionError("variables collected")
+
+        monkeypatch.setattr(rholog.wellmoded, "vars_of", no_walk)
+        clause = self._clause("p(i_S) :: f(i_X, s_Y) ==> (a, g(b)).")
+        assert check_clause(clause) == []
+
+    def test_violation_names_its_clause(self):
+        clause = self._clause("\n\nbad :: a ==> i_Z :- q :: i_X ==> i_Y.")
+        assert [str(v) for v in check_clause(clause)] == [
+            "clause at line 3, literal 1: input variable(s) i_X not bound "
+            "by any earlier output",
+            "clause at line 3: head output variable(s) i_Z are never bound"]
+        assert str(check_clause(clause, where="here")[0]).startswith(
+            "here, literal 1: ")
+
     def test_negative_body_output_from_head_input(self):
         clause = self._clause(
             "p(i_K) :: i_X ==> true :- q :: i_X =\\=> i_K.")
