@@ -28,6 +28,7 @@ from rholog.terms import HOLE, Apply, Hedge, Var, apply_subst, singleton, symbol
 
 from conftest import DEEP, a, random_instantiation
 from test_acceptance import _random_rule_system
+from test_terms import _assert_facts_from_children
 
 
 def hedges(session, query):
@@ -683,20 +684,6 @@ def _clauses(program):
         yield from sorted(itertools.chain(*groups), key=lambda c: c.k)
 
 
-def _facts_hold(value):
-    """Every node's ``ground`` and ``holes`` are those its children give."""
-    if isinstance(value, Var):
-        return True
-    if isinstance(value, Hedge):
-        return (value.ground == all(item.ground for item in value.items)
-                and value.holes == sum(item.holes for item in value.items)
-                and all(_facts_hold(item) for item in value.items))
-    if value.head == "hole":
-        return value.ground and value.holes == 1
-    return (value.ground == (value.args.ground and isinstance(value.head, str))
-            and value.holes == value.args.holes and _facts_hold(value.args))
-
-
 def _literal_values(lit):
     if isinstance(lit, RhoLiteral):
         return (lit.strategy, lit.lhs, lit.rhs)
@@ -780,8 +767,8 @@ class TestClauseActivation:
                     got_body, got_out = got
                     for lit in got_body:
                         for value in _literal_values(lit):
-                            assert _facts_hold(value)
-                    assert _facts_hold(got_out)
+                            _assert_facts_from_children(value)
+                    _assert_facts_from_children(got_out)
                     checked += 1
         assert checked > 300
 
