@@ -30,7 +30,7 @@ the literal sequence and the mode table, never on runtime values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Optional, Set, Tuple, Union
 
 from .program import (
     Abbreviation,
@@ -124,20 +124,14 @@ def _literal_io(lit, modes: ModeTable):
     return set(), set(), False       # cut
 
 
-def _check_literals(literals, bound: Set[Var], where: Callable[[], str],
-                    modes: ModeTable, head_strategy_vars: Optional[Set[Var]]
-                    ) -> Tuple[List[Violation], Set[Var]]:
-    """The violations of ``literals`` and the variables bound after them.
-
-    ``where`` gives the place that violations name; it is called only for
-    a violation.
-    """
+def _check_literals(literals, bound: Set[Var], where: str, modes: ModeTable,
+                    head_strategy_vars: Optional[Set[Var]]) -> Tuple[List[Violation], Set[Var]]:
     violations: List[Violation] = []
     for index, lit in enumerate(literals, 1):
         ins, outs, missing = _literal_io(lit, modes)
         if missing:
             violations.append(Violation(
-                UNKNOWN_PREDICATE, where(), index, (),
+                UNKNOWN_PREDICATE, where, index, (),
                 f"predicate {lit.name}/{len(lit.args)} has no declared mode"))
             continue
         unbound = sorted((v for v in ins if v not in bound),
@@ -145,7 +139,7 @@ def _check_literals(literals, bound: Set[Var], where: Callable[[], str],
         if unbound:
             names = ", ".join(v.text() for v in unbound)
             violations.append(Violation(
-                UNBOUND_INPUT, where(), index, tuple(unbound),
+                UNBOUND_INPUT, where, index, tuple(unbound),
                 f"input variable(s) {names} not bound by any earlier output"))
         if isinstance(lit, RhoLiteral):
             strat_vars = set(vars_of(lit.strategy))
@@ -153,7 +147,7 @@ def _check_literals(literals, bound: Set[Var], where: Callable[[], str],
                 if strat_vars:
                     names = ", ".join(sorted(v.text() for v in strat_vars))
                     violations.append(Violation(
-                        NONGROUND_STRATEGY, where(), index, tuple(strat_vars),
+                        NONGROUND_STRATEGY, where, index, tuple(strat_vars),
                         f"strategy term is not ground (contains {names})"))
             else:
                 escaped = sorted((v for v in strat_vars if v not in head_strategy_vars),
@@ -161,7 +155,7 @@ def _check_literals(literals, bound: Set[Var], where: Callable[[], str],
                 if escaped:
                     names = ", ".join(v.text() for v in escaped)
                     violations.append(Violation(
-                        STRATEGY_VAR_ESCAPE, where(), index, tuple(escaped),
+                        STRATEGY_VAR_ESCAPE, where, index, tuple(escaped),
                         f"strategy variable(s) {names} do not occur in the head strategy"))
             if lit.negative:
                 loose = sorted((v for v in outs if not v.anon and v not in bound),
@@ -169,7 +163,7 @@ def _check_literals(literals, bound: Set[Var], where: Callable[[], str],
                 if loose:
                     names = ", ".join(v.text() for v in loose)
                     violations.append(Violation(
-                        UNBOUND_NEGATIVE_OUTPUT, where(), index, tuple(loose),
+                        UNBOUND_NEGATIVE_OUTPUT, where, index, tuple(loose),
                         f"output variable(s) {names} of a negative literal "
                         "must be anonymous or already bound"))
                 continue            # negation binds nothing
@@ -181,7 +175,7 @@ def check_query(query: Query, modes: Optional[ModeTable] = None,
                 where: str = "query") -> List[Violation]:
     """All well-modedness violations of a query; an empty list means ok."""
     modes = modes or ModeTable()
-    violations, _ = _check_literals(query, set(), lambda: where, modes,
+    violations, _ = _check_literals(query, set(), where, modes,
                                     head_strategy_vars=None)
     return violations
 
@@ -190,15 +184,9 @@ def check_clause(clause: Union[RhoClause, PredClause],
                  modes: Optional[ModeTable] = None,
                  where: Optional[str] = None) -> List[Violation]:
     """All well-modedness violations of a rule or predicate clause."""
-    if isinstance(clause, RhoClause) and not clause.body and clause.head.rhs.ground:
-        return []
-
-    def place() -> str:
-        if where is not None:
-            return where
-        return f"clause at line {clause.line}" if clause.line else "clause"
-
     modes = modes or ModeTable()
+    if where is None:
+        where = f"clause at line {clause.line}" if clause.line else "clause"
     if isinstance(clause, RhoClause):
         head_ins = set(vars_of(clause.head.strategy)) | set(vars_of(clause.head.lhs))
         head_outs = set(vars_of(clause.head.rhs))
@@ -207,7 +195,7 @@ def check_clause(clause: Union[RhoClause, PredClause],
         mode = modes.lookup(clause.head.head, len(clause.head.args))
         if mode is None:
             return [Violation(
-                UNKNOWN_PREDICATE, place(), 0, (),
+                UNKNOWN_PREDICATE, where, 0, (),
                 f"predicate {clause.head.head}/{len(clause.head.args)} "
                 "has no declared mode")]
         in_pos, out_pos = mode
@@ -216,13 +204,13 @@ def check_clause(clause: Union[RhoClause, PredClause],
         head_outs = {v for i in out_pos for v in vars_of(items[i - 1])}
         strategy_vars = None
     violations, bound = _check_literals(
-        clause.body, _named(head_ins), place, modes, strategy_vars)
+        clause.body, _named(head_ins), where, modes, strategy_vars)
     loose = sorted((v for v in head_outs if v not in bound),
                    key=lambda v: (v.kind, v.name))
     if loose:
         names = ", ".join(v.text() for v in loose)
         violations.append(Violation(
-            UNBOUND_INPUT, place(), 0, tuple(loose),
+            UNBOUND_INPUT, where, 0, tuple(loose),
             f"head output variable(s) {names} are never bound"))
     return violations
 

@@ -94,16 +94,6 @@ class TestClauses:
         clause = self._clause("bad :: a ==> i_.")
         assert _kinds(check_clause(clause)) == [UNBOUND_INPUT]
 
-    def test_fact_with_ground_rhs_walks_no_term(self, monkeypatch):
-        import rholog.wellmoded
-
-        def no_walk(value):
-            raise AssertionError("variables collected")
-
-        monkeypatch.setattr(rholog.wellmoded, "vars_of", no_walk)
-        clause = self._clause("p(i_S) :: f(i_X, s_Y) ==> (a, g(b)).")
-        assert check_clause(clause) == []
-
     def test_violation_names_its_clause(self):
         clause = self._clause("\n\nbad :: a ==> i_Z :- q :: i_X ==> i_Y.")
         assert [str(v) for v in check_clause(clause)] == [
