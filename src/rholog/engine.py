@@ -9,23 +9,24 @@ adds its instantiation plan: one builder per body literal and one for
 into the code that builds its instance (Warren 1983), and the clause-local
 variables that each activation names afresh.  A :class:`Program` keeps the
 records of each strategy, and of each predicate name and arity, in a
-:class:`ClauseIndex` by the symbol that leads their input.  The index only
-filters: clauses are still tried top-down in source order.  Queries run on
-an explicit choice-point stack rather than the host call stack, so long
-derivations (normal forms of slowly shrinking hedges, say) cannot overflow
-Python's recursion limit.
+:class:`ClauseIndex` by the symbol that leads their input or, for a clause
+led by a variable, by a symbol its input needs at depth 1 or 2 (outside any
+context variable).  The index only filters: clauses are still tried
+top-down in source order.  Queries run on an explicit choice-point stack
+rather than the host call stack, so long derivations (normal forms of
+slowly shrinking hedges, say) cannot overflow Python's recursion limit.
 
 Selecting the leftmost literal of the current goal produces an iterator of
 alternatives, each a rewritten goal:
 
 * a positive transformation literal first checks the strategy's head symbol
   against the native combinators, then tries, in source order, the clauses
-  the index gives for the subject's first lhs element: for clause
-  ``st' :: lhs' ==> rhs' :- body`` and each matcher ``σ`` of the un-renamed
-  ``(st', lhs')`` against the ground ``(st, lhs)``, the literal becomes
-  ``bodyσ`` followed by a forced match of its rhs against ``rhs'σ``, where
-  ``σ`` is extended with a fresh variable for each clause-local variable
-  and the clause's plan builds the instance;
+  the index gives for the heads of the subject's lhs items (and of their
+  arguments): for clause ``st' :: lhs' ==> rhs' :- body`` and each matcher
+  ``σ`` of the un-renamed ``(st', lhs')`` against the ground ``(st, lhs)``,
+  the literal becomes ``bodyσ`` followed by a forced match of its rhs
+  against ``rhs'σ``, where ``σ`` is extended with a fresh variable for each
+  clause-local variable and the clause's plan builds the instance;
 * a forced match enumerates matchers of its pattern against its
   now-ground subject, applying each one to the remaining goal and to the
   answer under construction;
@@ -164,21 +165,25 @@ _by_k = attrgetter("k")
 
 
 class ClauseIndex:
-    """One strategy's (or one predicate arity's) clauses, by lead symbol.
+    """One strategy's (or one predicate arity's) clauses, by a symbol they need.
 
     A clause's lead is item ``skip`` of its ``head_in``: the first lhs item
     of a rule (``skip`` 1, past the strategy), the first ``+`` argument of a
     predicate (``skip`` 0).  ``keyed[a]`` holds the clauses whose lead is an
-    application of the symbol ``a``; ``var_led`` those whose lead is a
-    variable or has a variable head (``i_X``, ``s_X``, ``f_F(...)``,
-    ``c_X(...)``); ``empty`` those with no lead.  Each is in source order.
+    application of the symbol ``a``; ``empty`` those with no lead.  Of the
+    rest, whose lead is a variable or has a variable head (``i_X``, ``s_X``,
+    ``f_F(...)``, ``c_X(...)``), ``needs[a]`` holds those that need a node
+    headed ``a`` in the subject (see :func:`_needed_symbol`), and
+    ``var_led`` those that need none.  ``deep`` tells whether some clause
+    needs its symbol at depth 2.  Each group is in source order.
     """
 
-    __slots__ = ("skip", "keyed", "var_led", "empty")
+    __slots__ = ("skip", "keyed", "var_led", "empty", "needs", "deep")
 
     def __init__(self, clauses, skip: int):
         self.skip = skip
-        keyed, var_led, empty = {}, [], []
+        keyed, var_led, empty, needs = {}, [], [], {}
+        deep = False
         for clause in clauses:
             items = clause.head_in.items
             lead = items[skip] if len(items) > skip else None
@@ -187,25 +192,78 @@ class ClauseIndex:
             elif isinstance(lead, Apply) and isinstance(lead.head, str):
                 keyed.setdefault(lead.head, []).append(clause)
             else:
-                var_led.append(clause)
+                need = _needed_symbol(items[skip:])
+                if need is None:
+                    var_led.append(clause)
+                else:
+                    symbol, depth = need
+                    needs.setdefault(symbol, []).append(clause)
+                    deep = deep or depth == 2
         self.keyed = {symbol: tuple(group) for symbol, group in keyed.items()}
         self.var_led = tuple(var_led)
         self.empty = tuple(empty)
+        self.needs = {symbol: tuple(group) for symbol, group in needs.items()}
+        self.deep = deep
 
     def select(self, subject: Hedge):
         """The clauses whose ``head_in`` may match the ground ``subject``.
 
-        They come in source order.  Exactly the clauses whose lead is absent
-        while the subject's is not, or is another symbol, are left out.
+        They come in source order.  Left out are the clauses whose lead is
+        absent while the subject's is not, or is another symbol, and those
+        that need a symbol which heads no input item of the subject nor,
+        when some clause needs its symbol at depth 2, any argument of one.
+        Nothing deeper is read.
         """
         items = subject.items
-        own = self.keyed.get(items[self.skip].head, ()) \
-            if len(items) > self.skip else self.empty
+        skip = self.skip
+        if len(items) <= skip:
+            own = self.empty
+        else:
+            own = self.keyed.get(items[skip].head, ())
+            if self.needs:
+                return self._with_needs(own, items[skip:])
         if not self.var_led:
             return own
         if not own:
             return self.var_led
         return heapq.merge(own, self.var_led, key=_by_k)
+
+    def _with_needs(self, own, items):
+        heads = {item.head for item in items}
+        if self.deep:
+            heads.update(arg.head for item in items for arg in item.args.items)
+        needs = self.needs
+        groups = [group for group in (own, self.var_led) if group]
+        groups += [needs[symbol] for symbol in heads if symbol in needs]
+        if len(groups) > 1:
+            return heapq.merge(*groups, key=_by_k)
+        return groups[0] if groups else ()
+
+
+def _needed_symbol(items):
+    """A symbol every subject that ``items`` matches has, and its depth.
+
+    Outside a context variable's argument, a pattern node matches only a
+    subject node at its own depth: an input item (depth 1) an input item, an
+    argument of one (depth 2) an argument of one.  So a symbol that heads an
+    item, or an argument of a function-variable-headed item, must head a
+    subject node at that depth.  The first symbol heading an item is taken,
+    failing that the first heading such an argument, failing that ``None``.
+    A symbol under a context variable can match at any depth, and is never
+    taken.
+    """
+    deep = None
+    for item in items:
+        if not isinstance(item, Apply):
+            continue
+        if isinstance(item.head, str):
+            return item.head, 1
+        if deep is None and item.head.kind == "f":
+            for arg in item.args.items:
+                if isinstance(arg, Apply) and isinstance(arg.head, str):
+                    deep = arg.head, 2
+                    break
+    return deep
 
 
 @dataclass

@@ -403,7 +403,8 @@ class Parser:
 
     def parse_rho_tail(self, strategy, allow_negative: bool) -> RhoLiteral:
         tok = self.expect_atom("::")
-        if isinstance(strategy, Hedge):
+        if isinstance(strategy, Hedge) or \
+                isinstance(strategy, Var) and strategy.kind == "s":
             self.error("the strategy of a '::' literal must be a term", tok)
         self._reject_holes(strategy, tok)
         lhs_tok = self.peek()

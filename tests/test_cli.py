@@ -168,6 +168,17 @@ class TestMainEntry:
         assert "Traceback" not in run.stderr
         assert run.stdout == "false.\n"
 
+    def test_sequence_variable_strategy_exit_2(self, tmp_path):
+        # Its image may be a hedge, which cannot stand as a strategy: the
+        # clause is rejected when it is read, not when it is activated.
+        program = tmp_path / "seq.rholog"
+        program.write_text("st(s_X) :: a ==> i_Y :- s_X :: a ==> i_Y.\n")
+        run = _run_module("--consult", str(program),
+                          "--query", "st(b) :: a ==> i_Y")
+        assert run.returncode == 2
+        assert "the strategy of a '::' literal must be a term" in run.stderr
+        assert "Traceback" not in run.stderr
+
     def test_digit_int_cannot_read_exit_2(self):
         run = _run_module("--query", "id :: \u00b2 ==> i_X")
         assert run.returncode == 2

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from rholog.engine import (
+    ClauseIndex,
     CompiledClause,
     ConsultError,
     DepthLimitExceeded,
@@ -26,7 +27,7 @@ from rholog.strategies import Interaction, corpus_source, list_corpus
 from rholog.syntax import parse_hedge, parse_program, parse_term
 from rholog.terms import HOLE, Apply, Hedge, Var, apply_subst, singleton, symbol_apply
 
-from conftest import DEEP, a, random_instantiation
+from conftest import DEEP, a, random_ground_hedge, random_instantiation, random_pattern
 from test_acceptance import _random_rule_system
 from test_terms import _assert_facts_from_children
 
@@ -118,10 +119,17 @@ class TestClauseSelection:
         ("f_F(s_A)", "f_F(s_A)"), ("(f_F, s_T)", "s_T"),
         ("c_X(i_Y)", "c_X(a)"), ("(c_X(a), s_T)", "c_X(b)"),
         ("eps", ""),
+        # Var-led, but needing a symbol at depth 1 or 2, or under a context
+        # variable only.
+        ("(s_, b(s_X), s_)", "s_X"), ("f_F(s_, a)", "f_F(b)"),
+        ("(s_, c_X(b), s_)", "c_X(a)"), ("(i_X, f_F(c_Y(a)))", "f_F(c_Y(b))"),
+        ("f_F(f_G(a))", "f_G(f_F)"),
     ]
-    # Keyed by some clause's lead, by none, and empty.
+    # Keyed by some clause's lead, by none, and empty; needed symbols at
+    # depth 1, 2 and deeper.
     SUBJECTS = ["a", "(a, b)", "b(c)", "(b(a, a), c)", "c", "(c, a, b)",
-                "d", "(g(a), a)", "eps"]
+                "d", "(g(a), a)", "eps", "g(b, a)", "(a, f(g(a)))",
+                "(c, h(g(b)))", "h(g(a))"]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_selection_keeps_source_order(self, seed):
@@ -144,6 +152,29 @@ class TestClauseSelection:
             got = [ans["s_X"]
                    for ans in session.solve_text(f"rule :: {text} ==> s_X")]
             assert got == expected, (lines, text)
+
+    @pytest.mark.parametrize("skip", [0, 1])
+    def test_index_keeps_every_clause_that_matches(self, skip):
+        # Random heads, past a strategy if skip is 1, against random ground
+        # subjects and instances of the heads: the index leaves out no
+        # clause that has a matcher, and keeps source order.
+        prefix = (a("st"),) * skip
+        for seed in range(400):
+            rng = random.Random(seed)
+            heads = [Hedge(prefix + random_pattern(rng).items)
+                     for _ in range(rng.randint(1, 6))]
+            index = ClauseIndex([CompiledClause(k, head, Hedge(), (), 0)
+                                 for k, head in enumerate(heads, 1)], skip)
+            subjects = [Hedge(prefix + random_ground_hedge(rng, 3, 2).items)
+                         for _ in range(3)]
+            subjects += [apply_subst(random_instantiation(rng, head), head)
+                         for head in heads]
+            for subject in subjects:
+                chosen = [clause.k for clause in index.select(subject)]
+                assert chosen == sorted(chosen), (seed, heads, subject)
+                for k, head in enumerate(heads, 1):
+                    if next(match_hedge(head, subject), None) is not None:
+                        assert k in chosen, (seed, head, subject)
 
     def test_predicate_arities_keep_their_clause_numbers(self):
         trace = io.StringIO()
@@ -454,7 +485,7 @@ class TestConsult:
         program = consult(source, table)
         index = program.rho["flatten"]
         (clause,) = index.var_led
-        assert not index.keyed and not index.empty
+        assert not index.keyed and not index.empty and not index.needs
         assert isinstance(clause, CompiledClause)
         assert (clause.k, clause.line) == (1, 1)
         (body_lit,) = clause.body
@@ -471,7 +502,7 @@ class TestConsult:
         source, table = parse_program(corpus_source("examples/strat.rholog"))
         program = consult(source, table)
         index = program.rho["strat"]
-        assert not index.var_led and not index.empty
+        assert not index.var_led and not index.empty and not index.needs
         clauses = index.keyed["f"]
         assert index.select(parse_hedge("(strat, f(a))")) == clauses
         assert [c.k for c in clauses] == [1, 2]
@@ -482,6 +513,25 @@ class TestConsult:
         # Each is the rule's own rhs hedge, not a copy.
         assert all(c.head_out is item.head.rhs
                    for c, item in zip(clauses, source.items))
+
+    def test_var_led_clauses_are_grouped_by_a_needed_symbol(self):
+        index = consult_text(
+            "p :: (s_, k(s_X), s_) ==> s_X.\n"
+            "p :: f_F(s_X, m) ==> s_X.\n"
+            "p :: (s_, c_X(k), s_) ==> c_X(a).\n"
+            "p :: (i_X, f_F(c_Y(m))) ==> i_X.\n"
+            "p :: (s_X, k(a)) ==> s_X.\n").rho["p"]
+        assert not index.keyed and not index.empty and index.deep
+        assert [c.k for c in index.var_led] == [3, 4]
+        assert {symbol: [c.k for c in group]
+                for symbol, group in index.needs.items()} == {"k": [1, 5], "m": [2]}
+        assert [c.k for c in index.select(parse_hedge("(p, a, k(b))"))] == \
+            [1, 3, 4, 5]
+        assert [c.k for c in index.select(parse_hedge("(p, g(m))"))] == \
+            [2, 3, 4]
+        assert index.select(parse_hedge("(p, g(b), b)")) == index.var_led
+        program = consult_text(corpus_source("examples/strat.rholog"))
+        assert [c.k for c in program.rho["str1"].needs["a"]] == [1]
 
     def test_combinator_shadowing_rejected(self):
         with pytest.raises(ConsultError):
@@ -680,7 +730,8 @@ def _clauses(program):
     indexes += [index for by_arity in program.preds.values()
                 for index in by_arity.values()]
     for index in indexes:
-        groups = [index.var_led, index.empty, *index.keyed.values()]
+        groups = [index.var_led, index.empty, *index.keyed.values(),
+                  *index.needs.values()]
         yield from sorted(itertools.chain(*groups), key=lambda c: c.k)
 
 
@@ -773,9 +824,12 @@ class TestClauseActivation:
         assert checked > 300
 
     def test_sequence_image_as_strategy_raises_the_same_error(self):
-        (clause,) = _clauses(consult_text(
-            "st(s_X) :: a ==> i_Y :- s_X :: a ==> i_Y.\n"))
-        sigma = {Var("s", "X"): parse_hedge("(b, c)")}
+        # st(s_X) :: a ==> i_Y :- s_X :: a ==> i_Y, which the parser rejects.
+        x, y = Var("s", "X"), Var("i", "Y")
+        (clause,) = _clauses(consult(SourceProgram([RhoClause(
+            RhoLiteral(a("st", x), singleton(a("a")), singleton(y)),
+            (RhoLiteral(x, singleton(a("a")), singleton(y)),))]), strict=False))
+        sigma = {x: parse_hedge("(b, c)")}
         with pytest.raises(ValueError) as want:
             _rename_by_walk(clause, sigma, None)
         with pytest.raises(ValueError) as got:

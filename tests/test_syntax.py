@@ -128,6 +128,8 @@ class TestParseErrors:
         ":- op(2000, xfy, vv).",        # priority out of range
         ":- nonsense(1).",              # unsupported directive
         "eps(a) :: a ==> b.",           # eps with arguments
+        "s_X :: a ==> b.",              # sequence variable as strategy
+        "p(s_X) :: a ==> i_Y :- s_X :: a ==> i_Y.",
     ])
     def test_rejected(self, bad):
         with pytest.raises(ParseError):
