@@ -244,10 +244,10 @@ def _needed_symbol(items):
     """A symbol every subject that ``items`` matches has, and its depth.
 
     Outside a context variable's argument, a pattern node matches only a
-    subject node at its own depth: an input item (depth 1) an input item, an
-    argument of one (depth 2) an argument of one.  So a symbol that heads an
-    item, or an argument of a function-variable-headed item, must head a
-    subject node at that depth.  The first symbol heading an item is taken,
+    subject node at its own depth: an input item (depth 1) matches an input
+    item, and an argument of one (depth 2) an argument of one.  So a symbol
+    that heads an item, or an argument of a function-variable-headed item,
+    must head a subject node at that depth.  The first symbol heading an item is taken,
     failing that the first heading such an argument, failing that ``None``.
     A symbol under a context variable can match at any depth, and is never
     taken.

@@ -171,7 +171,7 @@ class TestClauseSelection:
                          for head in heads]
             for subject in subjects:
                 chosen = [clause.k for clause in index.select(subject)]
-                assert chosen == sorted(chosen), (seed, heads, subject)
+                assert chosen == sorted(set(chosen)), (seed, heads, subject)
                 for k, head in enumerate(heads, 1):
                     if next(match_hedge(head, subject), None) is not None:
                         assert k in chosen, (seed, head, subject)
