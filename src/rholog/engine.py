@@ -208,36 +208,40 @@ class ClauseIndex:
     def select(self, subject: Hedge):
         """The clauses whose ``head_in`` may match the ground ``subject``.
 
-        They come in source order.  Left out are the clauses whose lead is
-        absent while the subject's is not, or is another symbol, and those
-        that need a symbol which heads no input item of the subject nor,
-        when some clause needs its symbol at depth 2, any argument of one.
-        Nothing deeper is read.
+        They come in source order: the groups :meth:`_groups` keeps, merged.
         """
-        items = subject.items
-        skip = self.skip
-        if len(items) <= skip:
-            own = self.empty
-        else:
-            own = self.keyed.get(items[skip].head, ())
-            if self.needs:
-                return self._with_needs(own, items[skip:])
-        if not self.var_led:
-            return own
-        if not own:
-            return self.var_led
-        return heapq.merge(own, self.var_led, key=_by_k)
-
-    def _with_needs(self, own, items):
-        heads = {item.head for item in items}
-        if self.deep:
-            heads.update(arg.head for item in items for arg in item.args.items)
-        needs = self.needs
-        groups = [group for group in (own, self.var_led) if group]
-        groups += [needs[symbol] for symbol in heads if symbol in needs]
+        groups = self._groups(subject.items, self.skip)
         if len(groups) > 1:
             return heapq.merge(*groups, key=_by_k)
         return groups[0] if groups else ()
+
+    def may_match(self, lhs: Hedge) -> bool:
+        """Whether :meth:`select` keeps any clause for a ground subject
+        whose items past ``skip`` are those of ``lhs``."""
+        return bool(self._groups(lhs.items, 0))
+
+    def _groups(self, items, start):
+        """The non-empty groups of clauses that may match a ground subject
+        whose input items are ``items[start:]``.
+
+        Left out are the clauses whose lead is absent while the subject's is
+        not, or is another symbol, and those that need a symbol which heads
+        no input item of the subject nor, when some clause needs its symbol
+        at depth 2, any argument of one.  Nothing deeper is read.
+        """
+        if len(items) <= start:
+            own = self.empty
+        else:
+            own = self.keyed.get(items[start].head, ())
+        groups = [group for group in (own, self.var_led) if group]
+        if self.needs and len(items) > start:
+            items = items[start:]
+            heads = {item.head for item in items}
+            if self.deep:
+                heads.update(arg.head for item in items for arg in item.args.items)
+            needs = self.needs
+            groups += [needs[symbol] for symbol in heads if symbol in needs]
+        return groups
 
 
 def _needed_symbol(items):
@@ -820,6 +824,26 @@ class _Machine:
         return iter(())
 
     # -- services for combinator handlers
+
+    def skip_probe(self, strategy, lhs: Hedge) -> bool:
+        """Whether a probe of ``strategy`` on the ground ``lhs`` can have no
+        output, so a combinator need not open it.
+
+        That holds when ``strategy`` is a ground, hole-free application of a
+        symbol that names no combinator and whose clause index, if it has
+        one, selects no clause for ``lhs``.  A skipped probe still draws the
+        one fresh-variable number that :meth:`probe` would have, so later
+        numbering does not depend on the skip.
+        """
+        if not (isinstance(strategy, Apply) and isinstance(strategy.head, str)
+                and strategy.ground and not strategy.holes
+                and strategy.head not in strategies.COMBINATORS):
+            return False
+        index = self.session.program.rho.get(strategy.head)
+        if index is not None and index.may_match(lhs):
+            return False
+        next(self.session._fresh)
+        return True
 
     def probe(self, strategy, lhs: Hedge, then, cut_to: Optional[int] = None):
         """A goal that runs ``strategy`` on ``lhs``, then ``then(output)``.

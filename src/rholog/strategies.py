@@ -12,7 +12,12 @@ that must see a strategy's outputs runs it as a probe (``_Machine.probe``):
 a goal on the same stack whose continuation runs once per output.
 ``first_one`` is a cut after the first output; ``first_all`` and ``nf`` are
 soft cuts (Prolog's ``*->``), whose else branch runs only if the probe had
-no output.
+no output.  ``rewrite``, ``first_one``/``first_all`` and ``nf`` first ask
+``_Machine.skip_probe`` whether the probe can have no output: its strategy
+is a user symbol whose clause index selects nothing for the probed hedge.
+Then they open none and go straight on: ``rewrite`` to the next position,
+``first_one``/``first_all`` to the next strategy, ``nf`` to emitting its
+input.  The skipped probe still draws its fresh-variable number.
 
 The library:
 
@@ -135,6 +140,8 @@ def _first(machine, args, lit, rest, ans):
 
     def alts():
         for st in args:
+            if machine.skip_probe(st, lit.lhs):
+                continue
             goal, end = machine.probe(
                 st, lit.lhs, lambda out: (ForcedMatch(lit.rhs, out),) + rest, level)
             yield goal, ans
@@ -148,11 +155,13 @@ def _nf(machine, args, lit, rest, ans):
         return _bad(machine, "nf takes exactly one strategy")
 
     def alts():
-        goal, end = machine.probe(args[0], lit.lhs, _again(lit, rest))
-        yield goal, ans
-        if not end.hit:
-            # Irreducible: the input is its own normal form.
-            yield _emit(machine, lit, rest, ans, lit.lhs)
+        if not machine.skip_probe(args[0], lit.lhs):
+            goal, end = machine.probe(args[0], lit.lhs, _again(lit, rest))
+            yield goal, ans
+            if end.hit:
+                return
+        # Irreducible: the input is its own normal form.
+        yield _emit(machine, lit, rest, ans, lit.lhs)
     return alts()
 
 
@@ -227,11 +236,15 @@ def _rewrite(machine, args, lit, rest, ans):
 
     def alts():
         for link, redex in decompositions(lit.lhs[0]):
+            lhs = singleton(redex)
+            if machine.skip_probe(args[0], lhs):
+                continue
+
             def then(out, link=link):
                 if len(out.items) != 1:
                     return None
                 return (ForcedMatch(lit.rhs, singleton(plug(link, out.items[0]))),) + rest
-            yield machine.probe(args[0], singleton(redex), then)[0], ans
+            yield machine.probe(args[0], lhs, then)[0], ans
     return alts()
 
 

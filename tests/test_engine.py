@@ -157,7 +157,8 @@ class TestClauseSelection:
     def test_index_keeps_every_clause_that_matches(self, skip):
         # Random heads, past a strategy if skip is 1, against random ground
         # subjects and instances of the heads: the index leaves out no
-        # clause that has a matcher, and keeps source order.
+        # clause that has a matcher, and keeps source order; may_match, given
+        # the subject past its strategy, tells whether it selects any clause.
         prefix = (a("st"),) * skip
         for seed in range(400):
             rng = random.Random(seed)
@@ -172,6 +173,7 @@ class TestClauseSelection:
             for subject in subjects:
                 chosen = [clause.k for clause in index.select(subject)]
                 assert chosen == sorted(set(chosen)), (seed, heads, subject)
+                assert index.may_match(Hedge(subject.items[skip:])) == bool(chosen)
                 for k, head in enumerate(heads, 1):
                     if next(match_hedge(head, subject), None) is not None:
                         assert k in chosen, (seed, head, subject)

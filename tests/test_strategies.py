@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from rholog.engine import Session, consult_text
+from rholog.engine import Session, _Machine, consult_text
 from rholog.strategies import COMBINATORS, Interaction, corpus_source, list_corpus
 from rholog.syntax import format_value, parse_hedge, parse_term
 from rholog.terms import Hedge
@@ -282,6 +282,54 @@ class TestRewrite:
         answers = list(session.solve_text(f"rewrite(strat) :: {spine}a{')' * DEEP} ==> i_X"))
         assert len(answers) == 1
         assert format_value(answers[0]["i_X"]) == f"{spine}b{')' * DEEP}"
+
+
+class TestSkippedProbes:
+    """A probe of a user strategy that has no clause for the probed hedge
+    is not opened, yet draws its fresh-variable number."""
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        """The lhs of every probe a combinator opens, in order."""
+        lhs = []
+        probe = _Machine.probe
+
+        def counted(machine, strategy, hedge, *args):
+            lhs.append(hedge)
+            return probe(machine, strategy, hedge, *args)
+
+        monkeypatch.setattr(_Machine, "probe", counted)
+        return lhs
+
+    @pytest.fixture()
+    def none(self):
+        # none has clauses, but none for the symbols probed below.
+        return Session(consult_text(corpus_source("examples/strat.rholog")
+                                    + "none :: b ==> c.\nnone :: (d, s_) ==> e.\n"))
+
+    def test_rewrite_opens_only_positions_with_a_clause(self, elementary, opened):
+        # 1,003 positions: the root, 1,000 a's, f(a) and its a.  Only f(a)
+        # has a clause of strat; every position draws one number.
+        args = "a, " * 1000 + "f(a)"
+        assert hedges(elementary, f"rewrite(strat) :: h({args}) ==> i_X") == [
+            parse_term(f"h({'a, ' * 1000}g(a))")]
+        assert opened == [parse_hedge("f(a)")]
+        assert elementary.fresh_var("i", "Next").name == "Next#1004"
+
+    @pytest.mark.parametrize("query, expected, probes, next_number", [
+        ("first_one(none, strat) :: f(a) ==> s_X", ["g(a)"], 1, 3),
+        ("first_all(none, strat) :: f(f(a)) ==> s_X", ["g(f(a))", "a"], 1, 3),
+        ("first_one(none, none, strat, str1) :: f(a) ==> s_X", ["g(a)"], 1, 4),
+        ("first_all(none, undefined) :: a ==> s_X", [], 0, 3),
+        ("nf(none) :: a ==> s_X", ["a"], 0, 2),
+        ("nf(none) :: b ==> s_X", ["c"], 1, 3),
+        ("nf(compose(none, none)) :: b ==> s_X", ["b"], 1, 3),
+    ])
+    def test_answers_and_numbering_as_if_opened(self, none, opened, query,
+                                                expected, probes, next_number):
+        assert hedges(none, query) == [parse_hedge(t) for t in expected]
+        assert len(opened) == probes
+        assert none.fresh_var("i", "Next").name == f"Next#{next_number}"
 
 
 class TestShippedRewritingStrategies:
