@@ -482,15 +482,13 @@ class Session:
     def __init__(self, program: Optional[Program] = None, *,
                  out=None, err=None, trace=None,
                  interaction: Optional[strategies.Interaction] = None,
-                 depth_limit: Optional[int] = None,
-                 debug_checks: bool = False):
+                 depth_limit: Optional[int] = None):
         self.program = program if program is not None else Program()
         self.out = out if out is not None else sys.stdout
         self.err = err if err is not None else sys.stderr
         self.trace = trace
         self.interaction = interaction
         self.depth_limit = depth_limit
-        self.debug_checks = debug_checks
         self.runtime_errors: List[str] = []
         self._fresh = itertools.count(1)
 
@@ -699,12 +697,6 @@ class _Machine:
 
     def _positive_rho(self, lit: RhoLiteral, rest, bindings) -> Iterator:
         strategy, lhs = lit.strategy, lit.lhs
-        if self.session.debug_checks:
-            if not (strategy.ground and lhs.ground):
-                raise RuntimeError(
-                    "well-modedness broken at runtime: selected literal "
-                    f"{format_literal(lit, self.session.operators)} has a "
-                    "non-ground strategy or left-hand side")
         if not (strategy.ground and lhs.ground) or strategy.holes or lhs.holes:
             return self._bad_input(lit)
         native = strategies.expand_combinator(self, lit, rest, bindings)
@@ -722,13 +714,6 @@ class _Machine:
                              flat_hedge((strategy,) + lhs.items, True, 0), lit.rhs)
 
     def _negation(self, lit: RhoLiteral, rest, bindings) -> Iterator:
-        if self.session.debug_checks:
-            loose = [v for v in literal_vars(lit) if not v.anon]
-            if loose:
-                raise RuntimeError(
-                    "well-modedness broken at runtime: negative literal "
-                    f"{format_literal(lit, self.session.operators)} still "
-                    f"contains {', '.join(v.text() for v in loose)}")
         positive = RhoLiteral(lit.strategy, lit.lhs, lit.rhs, negative=False)
         return iter((((positive, _Cut(len(self.stack), fail=True)), bindings),
                      (rest, bindings)))

@@ -149,19 +149,21 @@ class TestPrograms:
 
 
 class TestRuntimeGuarantee:
-    def test_selected_literals_ground_under_debug_checks(self):
+    def test_selected_literals_ground_at_runtime(self):
         # str1's first result (f(a), b, a, f(a)) survives the negation:
         # str2 turns it into (f(a), b, a), which (a, s_) does not match.
         # Its second result (a, b, f(a), f(a)) is filtered out: str2 gives
-        # (a, b, f(a)), which (a, s_) does match.
+        # (a, b, f(a)), which (a, s_) does match.  A literal selected with
+        # a non-ground input would be reported as a runtime error.
         from rholog.engine import Session, consult_text
         from rholog.syntax import parse_hedge
         program = consult_text(corpus_source("examples/strat.rholog"))
-        session = Session(program, debug_checks=True)
+        session = Session(program)
         answers = list(session.solve_text(
             "str1 :: (a, b, a, f(a)) ==> s_X, str2 :: (s_X) =\\=> (a, s_)"))
         assert [ans["s_X"] for ans in answers] == \
             [parse_hedge("(f(a), b, a, f(a))")]
+        assert session.runtime_errors == []
 
     def test_checker_is_syntactic(self):
         # Same literal sequence, same verdict, regardless of any program.
