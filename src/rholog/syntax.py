@@ -55,7 +55,6 @@ from .terms import (
     Hedge,
     Var,
     flat_hedge,
-    hole_count,
     singleton,
     symbol_apply,
 )
@@ -426,7 +425,7 @@ class Parser:
         return RhoLiteral(strategy, lhs, rhs, negative)
 
     def _reject_holes(self, value, tok) -> None:
-        if hole_count(value):
+        if value.holes:
             self.error("the hole constant cannot occur in rules or queries", tok)
 
     # -- hedges and terms

@@ -46,7 +46,6 @@ HOLE_NAME = "hole"
 
 #: Variable kinds, keyed by their source-syntax prefix letter.
 KINDS = ("i", "s", "f", "c")
-KIND_NAMES = {"i": "individual", "s": "sequence", "f": "function", "c": "context"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,15 +278,6 @@ def vars_of(value) -> Iterator[Var]:
             raise TypeError(f"not a syntax value: {value!r}")
 
 
-def hole_count(value) -> int:
-    return value.holes
-
-
-def is_context(t) -> bool:
-    """A context is a term with exactly one occurrence of ``hole``."""
-    return isinstance(t, (Var, Apply)) and t.holes == 1
-
-
 def apply_subst(subst, value):
     """Apply a substitution to a term, hedge, or hedge element.
 
@@ -465,7 +455,7 @@ def _hedge_builder(hedge: Hedge, bound, local: dict):
 
 def apply_context(ctx, t):
     """Replace the single hole of ``ctx`` with the term ``t``."""
-    if not is_context(ctx):
+    if not (isinstance(ctx, Apply) and ctx.holes == 1):
         raise ValueError(f"malformed context (not one hole): {ctx!r}")
     # Walk down the arguments that hold the hole, then rebuild upwards.
     link = None

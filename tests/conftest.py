@@ -16,7 +16,6 @@ from rholog.terms import (
     Hedge,
     Var,
     apply_subst,
-    hole_count,
     singleton,
 )
 
@@ -254,7 +253,7 @@ def random_match_case(rng: random.Random):
     pattern = random_pattern(rng)
     if rng.random() < 0.5:
         subject = apply_subst(random_instantiation(rng, pattern), pattern)
-        assert subject.ground and hole_count(subject) == 0
+        assert subject.ground and subject.holes == 0
     else:
         subject = random_ground_hedge(rng, 3, 2)
     return pattern, subject

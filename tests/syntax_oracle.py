@@ -43,7 +43,6 @@ from rholog.terms import (
     Apply,
     Hedge,
     Var,
-    hole_count,
     singleton,
 )
 
@@ -365,7 +364,7 @@ class Parser:
         return RhoLiteral(strategy, lhs, rhs, negative)
 
     def _reject_holes(self, value, tok) -> None:
-        if hole_count(value):
+        if value.holes:
             self.error("the hole constant cannot occur in rules or queries", tok)
 
     # -- hedges and terms
