@@ -230,11 +230,10 @@ class ClauseIndex:
         at depth 2, any argument of one.  Nothing deeper is read.
         """
         if len(items) <= start:
-            own = self.empty
-        else:
-            own = self.keyed.get(items[start].head, ())
+            return [group for group in (self.empty, self.var_led) if group]
+        own = self.keyed.get(items[start].head, ())
         groups = [group for group in (own, self.var_led) if group]
-        if self.needs and len(items) > start:
+        if self.needs:
             items = items[start:]
             heads = {item.head for item in items}
             if self.deep:
