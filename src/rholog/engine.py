@@ -230,17 +230,20 @@ class ClauseIndex:
         at depth 2, any argument of one.  Nothing deeper is read.
         """
         if len(items) <= start:
-            return [group for group in (self.empty, self.var_led) if group]
-        own = self.keyed.get(items[start].head, ())
-        groups = [group for group in (own, self.var_led) if group]
-        if self.needs:
-            items = items[start:]
-            heads = {item.head for item in items}
-            if self.deep:
-                heads.update(arg.head for item in items for arg in item.args.items)
-            needs = self.needs
-            groups += [needs[symbol] for symbol in heads if symbol in needs]
-        return groups
+            own = self.empty
+        else:
+            own = self.keyed.get(items[start].head, ())
+            if self.needs:
+                items = items[start:]
+                heads = {item.head for item in items}
+                if self.deep:
+                    heads.update(arg.head for item in items for arg in item.args.items)
+                needs = self.needs
+                groups = [group for group in (own, self.var_led) if group]
+                return groups + [needs[symbol] for symbol in heads if symbol in needs]
+        if not self.var_led:
+            return (own,) if own else ()
+        return (own, self.var_led) if own else (self.var_led,)
 
 
 def _needed_symbol(items):
@@ -819,12 +822,15 @@ class _Machine:
         one fresh-variable number that :meth:`probe` would have, so later
         numbering does not depend on the skip.
         """
-        if not (isinstance(strategy, Apply) and isinstance(strategy.head, str)
-                and strategy.ground and not strategy.holes
-                and strategy.head not in strategies.COMBINATORS):
+        # A ground application has a symbol head; a symbol with an index
+        # has clauses, so it names no combinator.
+        if not (isinstance(strategy, Apply) and strategy.ground and not strategy.holes):
             return False
         index = self.session.program.rho.get(strategy.head)
-        if index is not None and index.may_match(lhs):
+        if index is not None:
+            if index.may_match(lhs):
+                return False
+        elif strategy.head in strategies.COMBINATORS:
             return False
         next(self.session._fresh)
         return True
