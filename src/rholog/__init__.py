@@ -25,7 +25,6 @@ from .engine import (
     Program,
     Session,
     consult,
-    consult_files,
     consult_text,
 )
 from .matching import decompositions, match_hedge, plug
@@ -39,7 +38,7 @@ from .program import (
     RhoLiteral,
     SourceProgram,
 )
-from .strategies import COMBINATORS, Interaction, corpus_path, corpus_source, list_corpus
+from .strategies import COMBINATORS, Interaction, corpus_path, corpus_source
 from .syntax import (
     OperatorTable,
     ParseError,
@@ -68,11 +67,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Answer", "ConsultError", "DepthLimitExceeded", "ModeError", "Program",
-    "Session", "consult", "consult_files", "consult_text",
+    "Session", "consult", "consult_text",
     "decompositions", "match_hedge", "plug",
     "Abbreviation", "CutLiteral", "OpDirective", "PredClause", "PredLiteral",
     "RhoClause", "RhoLiteral", "SourceProgram",
-    "COMBINATORS", "Interaction", "corpus_path", "corpus_source", "list_corpus",
+    "COMBINATORS", "Interaction", "corpus_path", "corpus_source",
     "OperatorTable", "ParseError", "default_operators", "format_hedge",
     "format_literal", "format_value", "parse_hedge", "parse_program",
     "parse_query", "parse_term",

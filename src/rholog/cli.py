@@ -10,6 +10,9 @@ with ``.``, a ``;`` asks for the next answer, a plain newline stops,
 ``consult(FILE).`` loads programs, and ``halt.`` leaves.  The shell also
 hosts the ``interactive`` strategy's sub-prompts.
 
+Under ``--lenient``, mode violations print as ``warning:`` lines in batch
+mode and in the shell alike, and the program or query runs anyway.
+
 Paths given to ``--consult`` (or ``consult/1``) resolve against the current
 directory first and then against the shipped corpus, so
 ``--consult examples/strat.rholog`` works from anywhere.
@@ -31,15 +34,14 @@ from .engine import (
     Answer,
     ConsultError,
     DepthLimitExceeded,
-    ModeError,
     Program,
     Session,
     consult,
     read_files,
 )
-from .program import SourceProgram
-from .syntax import ParseError, default_operators, format_value
-from .wellmoded import check_program
+from .program import PredLiteral, SourceProgram
+from .syntax import ParseError, Parser, default_operators, format_value, parse_query
+from .wellmoded import check_program, check_query
 
 #: The report for a ``RecursionError``, wherever it is raised.
 NESTED_TOO_DEEPLY = "error: nested too deeply"
@@ -53,6 +55,49 @@ def _print_answer(answer: Answer, table, out) -> None:
         out.write(f"{var.text()} = {format_value(value, table)}\n")
 
 
+def _report(exc: Exception, err) -> None:
+    """Print a failed load or parse as one ``error:`` or ``syntax error:`` line."""
+    kind = "syntax error" if isinstance(exc, ParseError) else "error"
+    print(f"{kind}: {exc}", file=err)
+
+
+def _load(names, table, items, lenient: bool, err):
+    """Read the files ``names`` with the operators ``table`` and consult them
+    after the source ``items``, printing the warnings: ``(source, table,
+    program)``, or ``None`` once an error is reported."""
+    try:
+        source, table = read_files(names, table)
+        source = SourceProgram(list(items) + source.items)
+        program = consult(source, table, strict=not lenient)
+    except (OSError, ConsultError, ParseError) as exc:
+        _report(exc, err)
+        return None
+    for v in program.violations:
+        print(f"warning: {v}", file=err)
+    return source, table, program
+
+
+def _solve(program: Program, text: str, *, lenient: bool, trace: bool,
+           depth_limit: Optional[int], in_, out, err):
+    """Parse and mode-check the query ``text``, then start it on ``program``:
+    the :class:`Session` and its answers, or ``None`` once a syntax error or,
+    unless ``lenient``, a mode violation is reported."""
+    try:
+        query = parse_query(text, program.operators)
+    except ParseError as exc:
+        _report(exc, err)
+        return None
+    violations = check_query(query, program.modes)
+    for v in violations:
+        print(f"{'warning' if lenient else 'mode violation'}: {v}", file=err)
+    if violations and not lenient:
+        return None
+    session = Session(program, out=out, err=err, trace=err if trace else None,
+                      interaction=strategies.stream_interaction(in_, out),
+                      depth_limit=depth_limit)
+    return session, session.solve(query)
+
+
 def run_batch(files: List[str], query_text: Optional[str], *,
               check_only: bool = False, all_answers: bool = False,
               max_answers: Optional[int] = None, lenient: bool = False,
@@ -61,16 +106,12 @@ def run_batch(files: List[str], query_text: Optional[str], *,
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
 
-    try:
-        source, table = read_files(files)
-    except (OSError, ConsultError) as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except ParseError as exc:
-        print(f"syntax error: {exc}", file=err)
-        return 2
-
     if check_only:
+        try:
+            source, _ = read_files(files)
+        except (OSError, ConsultError, ParseError) as exc:
+            _report(exc, err)
+            return 2
         violations = check_program(source)
         if violations:
             for v in violations:
@@ -79,36 +120,19 @@ def run_batch(files: List[str], query_text: Optional[str], *,
         out.write("ok\n")
         return 0
 
-    try:
-        program = consult(source, table, strict=not lenient)
-    except ConsultError as exc:
-        print(f"error: {exc}", file=err)
+    loaded = _load(files, None, (), lenient, err)
+    if loaded is None:
         return 2
-    for v in program.violations:
-        print(f"warning: {v}", file=err)
-
+    _, table, program = loaded
     if query_text is None:
         print("error: nothing to do (give --query, --check, or no "
               "arguments for a shell)", file=err)
         return 2
-
-    interaction = strategies.stream_interaction(in_ or sys.stdin, out)
-    session = Session(program, out=out, err=err,
-                      trace=err if trace else None,
-                      interaction=interaction, depth_limit=depth_limit)
-    try:
-        answers = session.solve_text(query_text, check=True)
-    except ParseError as exc:
-        print(f"syntax error: {exc}", file=err)
+    started = _solve(program, query_text, lenient=lenient, trace=trace,
+                     depth_limit=depth_limit, in_=in_ or sys.stdin, out=out, err=err)
+    if started is None:
         return 2
-    except ModeError as exc:
-        if not lenient:
-            for v in exc.violations:
-                print(f"mode violation: {v}", file=err)
-            return 2
-        for v in exc.violations:
-            print(f"warning: {v}", file=err)
-        answers = session.solve_text(query_text, check=False)
+    session, answers = started
 
     if not all_answers and max_answers is None:
         max_answers = 1
@@ -175,24 +199,12 @@ class Repl:
 
     # -- consulting
 
-    def _consult(self, name: str) -> bool:
-        try:
-            source, table = read_files([name], self.table.clone())
-            merged = SourceProgram(list(self.items.items) + list(source.items))
-            program = consult(merged, table, strict=not self.lenient)
-        except (OSError, ConsultError) as exc:
-            print(f"error: {exc}", file=self.err)
-            return False
-        except ParseError as exc:
-            print(f"syntax error: {exc}", file=self.err)
-            return False
-        for v in program.violations:
-            print(f"warning: {v}", file=self.err)
-        self.items = merged
-        self.table = table
-        self.program = program
-        self._write(f"% consulted {name}\n")
-        return True
+    def _consult(self, name: str) -> None:
+        loaded = _load([name], self.table.clone(), self.items.items,
+                       self.lenient, self.err)
+        if loaded is not None:
+            self.items, self.table, self.program = loaded
+            self._write(f"% consulted {name}\n")
 
     # -- the loop
 
@@ -216,9 +228,6 @@ class Repl:
                 print(NESTED_TOO_DEEPLY, file=self.err)
 
     def _as_consult_command(self, text: str) -> Optional[str]:
-        from .program import PredLiteral
-        from .syntax import Parser
-
         try:
             query = Parser(text, self.table.clone()).parse_query()
         except ParseError:
@@ -231,20 +240,12 @@ class Repl:
         return None
 
     def _run_query(self, text: str) -> None:
-        interaction = strategies.stream_interaction(self.infile, self.out)
-        session = Session(self.program, out=self.out, err=self.err,
-                          trace=self.err if self.trace else None,
-                          interaction=interaction,
-                          depth_limit=self.depth_limit)
-        try:
-            answers = session.solve_text(text, check=not self.lenient)
-        except ParseError as exc:
-            print(f"syntax error: {exc}", file=self.err)
+        started = _solve(self.program, text, lenient=self.lenient,
+                         trace=self.trace, depth_limit=self.depth_limit,
+                         in_=self.infile, out=self.out, err=self.err)
+        if started is None:
             return
-        except ModeError as exc:
-            for v in exc.violations:
-                print(f"mode violation: {v}", file=self.err)
-            return
+        _, answers = started
         try:
             exhausted = True
             for answer in answers:

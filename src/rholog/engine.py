@@ -341,12 +341,11 @@ def _compile_predicate(clauses, modes: ModeTable) -> Dict[int, ClauseIndex]:
     """The clauses of one predicate name, indexed per arity that has a mode."""
     by_arity = {}
     for k, clause in enumerate(clauses, 1):
-        args = clause.head.args.items
-        mode = modes.lookup(clause.head.head, len(args))
-        if mode is not None:
-            by_arity.setdefault(len(args), []).append(CompiledClause(
-                k, Hedge(args[i - 1] for i in mode[0]),
-                Hedge(args[i - 1] for i in mode[1]), clause.body, clause.line))
+        args = clause.head.args
+        split = modes.split(clause.head.head, args)
+        if split is not None:
+            by_arity.setdefault(len(args), []).append(
+                CompiledClause(k, *split, clause.body, clause.line))
     return {arity: ClauseIndex(group, 0) for arity, group in by_arity.items()}
 
 
@@ -392,51 +391,18 @@ def read_files(paths, operators: Optional[OperatorTable] = None):
     return items, table
 
 
-def consult_files(paths, strict: bool = True) -> Program:
-    """Consult several files as one program, in order."""
-    return consult(*read_files(paths), strict)
-
-
 class Answer:
     """Ground bindings for a query's named variables, in query order."""
 
     def __init__(self, pairs):
         self.pairs = tuple(pairs)
-        self._map = dict(self.pairs)
 
     def __getitem__(self, key):
-        if isinstance(key, str):
-            for var, value in self.pairs:
-                if var.text() == key:
-                    return value
-            raise KeyError(key)
-        return self._map[key]
-
-    def __contains__(self, key) -> bool:
-        try:
-            self[key]
-        except KeyError:
-            return False
-        return True
-
-    def __iter__(self):
-        return iter(self._map)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def as_dict(self) -> dict:
-        return dict(self.pairs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Answer):
-            return self._map == other._map
-        if isinstance(other, dict):
-            return self._map == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._map.items()))
+        """The value of a variable, given as a ``Var`` or by its name."""
+        for var, value in self.pairs:
+            if key == (var.text() if isinstance(key, str) else var):
+                return value
+        raise KeyError(key)
 
     def __repr__(self) -> str:
         if not self.pairs:
@@ -544,13 +510,10 @@ class Session:
         """Parse, optionally mode-check, and solve a query string."""
         query = parse_query(text, self.operators)
         if check:
-            violations = self.check_query(query)
+            violations = check_query(query, self.program.modes)
             if violations:
                 raise ModeError(violations)
         return self.solve(query)
-
-    def check_query(self, query: Query):
-        return check_query(query, self.program.modes)
 
 
 def _with_named(bindings: dict, sigma: dict, names) -> dict:
@@ -730,19 +693,17 @@ class _Machine:
         if by_arity is None:
             self.session.report(f"unknown predicate {name}/{arity}")
             return iter(())
-        mode = program.modes.lookup(name, arity)
-        if mode is None:
+        split = program.modes.split(name, lit.args)
+        if split is None:
             self.session.report(f"no mode declared for {name}/{arity}")
             return iter(())
-        args = lit.args.items
-        subject = Hedge(args[i - 1] for i in mode[0])
+        subject, out_pattern = split
         if not subject.ground or subject.holes:
             return self._bad_input(lit)
         index = by_arity.get(arity)
         if index is None:
             return iter(())
-        return self._resolve(lit, rest, bindings, index, subject,
-                             Hedge(args[i - 1] for i in mode[1]))
+        return self._resolve(lit, rest, bindings, index, subject, out_pattern)
 
     def _resolve(self, lit, rest, bindings, index: ClauseIndex, subject: Hedge,
                  out_pattern: Hedge) -> Iterator:

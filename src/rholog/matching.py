@@ -46,15 +46,10 @@ def match_hedge(pattern: Hedge, subject: Hedge) -> Iterator[dict]:
     """Enumerate every matcher of ``pattern`` against the ground ``subject``."""
     if not isinstance(pattern, Hedge) or not isinstance(subject, Hedge):
         raise TypeError("match_hedge expects hedges on both sides")
-    check_subject(subject)
-    # The search yields its one environment; each matcher is a copy of it.
-    return map(dict, _match(pattern.items, 0, subject.items, 0, None, {}))
-
-
-def check_subject(subject: Hedge) -> None:
-    """Raise ValueError unless ``subject`` is ground and hole-free."""
     if not subject.ground or subject.holes:
         raise ValueError(f"subject must be ground and hole-free: {subject!r}")
+    # The search yields its one environment; each matcher is a copy of it.
+    return map(dict, _match(pattern.items, 0, subject.items, 0, None, {}))
 
 
 def _match(pat: tuple, i: int, subj: tuple, j: int, later, env: dict):

@@ -279,16 +279,3 @@ def corpus_path(name: str):
 
 def corpus_source(name: str) -> str:
     return corpus_path(name).read_text(encoding="utf-8")
-
-
-def list_corpus() -> list:
-    from importlib.resources import files
-
-    root = files(__package__) / "corpus"
-    found = []
-    for sub in sorted(root.iterdir()):
-        if sub.is_dir():
-            for f in sorted(sub.iterdir()):
-                if f.name.endswith(".rholog"):
-                    found.append(f"{sub.name}/{f.name}")
-    return found

@@ -43,7 +43,7 @@ from .program import (
     SourceProgram,
     expand_abbreviation,
 )
-from .terms import Var, vars_of
+from .terms import Hedge, Var, vars_of
 
 #: kind labels for violations
 UNBOUND_INPUT = "unbound-input"
@@ -70,11 +70,8 @@ BUILTIN_PREDICATES = frozenset(name for name, _ in _BUILTIN_MODES)
 
 
 class ModeTable:
-    """Input/output positions per predicate name and arity.
-
-    ``lookup`` gives ``(ins, outs)``: the 1-based ``+`` and ``-`` positions,
-    each a tuple in ascending order.
-    """
+    """Input/output positions per predicate name and arity: the 1-based
+    ``+`` and ``-`` positions, each a tuple in ascending order."""
 
     def __init__(self):
         self._modes = dict(_BUILTIN_MODES)
@@ -84,8 +81,14 @@ class ModeTable:
         outs = tuple(i for i, s in enumerate(directive.spec, 1) if s == "-")
         self._modes[(directive.name, len(directive.spec))] = (ins, outs)
 
-    def lookup(self, name: str, arity: int):
-        return self._modes.get((name, arity))
+    def split(self, name: str, args: Hedge):
+        """``(ins, outs)``, the hedges of a call's ``+`` and ``-`` arguments,
+        or ``None`` when the call has no mode."""
+        mode = self._modes.get((name, len(args)))
+        if mode is None:
+            return None
+        items = args.items
+        return Hedge(items[i - 1] for i in mode[0]), Hedge(items[i - 1] for i in mode[1])
 
 
 @dataclass(frozen=True)
@@ -107,20 +110,24 @@ def _named(vs: Iterable[Var]) -> Set[Var]:
     return {v for v in vs if not v.anon}
 
 
+def _violation(kind: str, where: str, index: int, variables, text: str) -> Violation:
+    """A violation of ``variables``, sorted by kind and name, whose names
+    fill the ``{}`` of ``text``."""
+    variables = tuple(sorted(variables, key=lambda v: (v.kind, v.name)))
+    return Violation(kind, where, index, variables,
+                     text.format(", ".join(v.text() for v in variables)))
+
+
 def _literal_io(lit, modes: ModeTable):
     """(input vars, output vars, missing-mode flag) of a literal."""
     if isinstance(lit, RhoLiteral):
         ins = set(vars_of(lit.strategy)) | set(vars_of(lit.lhs))
         return ins, set(vars_of(lit.rhs)), False
     if isinstance(lit, PredLiteral):
-        mode = modes.lookup(lit.name, len(lit.args))
-        if mode is None:
+        split = modes.split(lit.name, lit.args)
+        if split is None:
             return set(), set(), True
-        in_pos, out_pos = mode
-        items = lit.args.items
-        ins = {v for i in in_pos for v in vars_of(items[i - 1])}
-        outs = {v for i in out_pos for v in vars_of(items[i - 1])}
-        return ins, outs, False
+        return set(vars_of(split[0])), set(vars_of(split[1])), False
     return set(), set(), False       # cut
 
 
@@ -134,37 +141,30 @@ def _check_literals(literals, bound: Set[Var], where: str, modes: ModeTable,
                 UNKNOWN_PREDICATE, where, index, (),
                 f"predicate {lit.name}/{len(lit.args)} has no declared mode"))
             continue
-        unbound = sorted((v for v in ins if v not in bound),
-                         key=lambda v: (v.kind, v.name))
+        unbound = [v for v in ins if v not in bound]
         if unbound:
-            names = ", ".join(v.text() for v in unbound)
-            violations.append(Violation(
-                UNBOUND_INPUT, where, index, tuple(unbound),
-                f"input variable(s) {names} not bound by any earlier output"))
+            violations.append(_violation(
+                UNBOUND_INPUT, where, index, unbound,
+                "input variable(s) {} not bound by any earlier output"))
         if isinstance(lit, RhoLiteral):
             strat_vars = set(vars_of(lit.strategy))
             if head_strategy_vars is None:
                 if strat_vars:
-                    names = ", ".join(sorted(v.text() for v in strat_vars))
-                    violations.append(Violation(
-                        NONGROUND_STRATEGY, where, index, tuple(strat_vars),
-                        f"strategy term is not ground (contains {names})"))
+                    violations.append(_violation(
+                        NONGROUND_STRATEGY, where, index, strat_vars,
+                        "strategy term is not ground (contains {})"))
             else:
-                escaped = sorted((v for v in strat_vars if v not in head_strategy_vars),
-                                 key=lambda v: (v.kind, v.name))
+                escaped = [v for v in strat_vars if v not in head_strategy_vars]
                 if escaped:
-                    names = ", ".join(v.text() for v in escaped)
-                    violations.append(Violation(
-                        STRATEGY_VAR_ESCAPE, where, index, tuple(escaped),
-                        f"strategy variable(s) {names} do not occur in the head strategy"))
+                    violations.append(_violation(
+                        STRATEGY_VAR_ESCAPE, where, index, escaped,
+                        "strategy variable(s) {} do not occur in the head strategy"))
             if lit.negative:
-                loose = sorted((v for v in outs if not v.anon and v not in bound),
-                               key=lambda v: (v.kind, v.name))
+                loose = [v for v in outs if not v.anon and v not in bound]
                 if loose:
-                    names = ", ".join(v.text() for v in loose)
-                    violations.append(Violation(
-                        UNBOUND_NEGATIVE_OUTPUT, where, index, tuple(loose),
-                        f"output variable(s) {names} of a negative literal "
+                    violations.append(_violation(
+                        UNBOUND_NEGATIVE_OUTPUT, where, index, loose,
+                        "output variable(s) {} of a negative literal "
                         "must be anonymous or already bound"))
                 continue            # negation binds nothing
         bound |= _named(outs)
@@ -192,26 +192,21 @@ def check_clause(clause: Union[RhoClause, PredClause],
         head_outs = set(vars_of(clause.head.rhs))
         strategy_vars: Optional[Set[Var]] = set(vars_of(clause.head.strategy))
     else:
-        mode = modes.lookup(clause.head.head, len(clause.head.args))
-        if mode is None:
+        split = modes.split(clause.head.head, clause.head.args)
+        if split is None:
             return [Violation(
                 UNKNOWN_PREDICATE, where, 0, (),
                 f"predicate {clause.head.head}/{len(clause.head.args)} "
                 "has no declared mode")]
-        in_pos, out_pos = mode
-        items = clause.head.args.items
-        head_ins = {v for i in in_pos for v in vars_of(items[i - 1])}
-        head_outs = {v for i in out_pos for v in vars_of(items[i - 1])}
+        head_ins, head_outs = set(vars_of(split[0])), set(vars_of(split[1]))
         strategy_vars = None
     violations, bound = _check_literals(
         clause.body, _named(head_ins), where, modes, strategy_vars)
-    loose = sorted((v for v in head_outs if v not in bound),
-                   key=lambda v: (v.kind, v.name))
+    loose = [v for v in head_outs if v not in bound]
     if loose:
-        names = ", ".join(v.text() for v in loose)
-        violations.append(Violation(
-            UNBOUND_INPUT, where, 0, tuple(loose),
-            f"head output variable(s) {names} are never bound"))
+        violations.append(_violation(
+            UNBOUND_INPUT, where, 0, loose,
+            "head output variable(s) {} are never bound"))
     return violations
 
 

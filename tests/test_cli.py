@@ -396,3 +396,36 @@ class TestRepl:
     def test_false_for_failing_query(self):
         _, out, _ = repl_session("id :: a ==> b.\nhalt.\n")
         assert "false." in out
+
+
+class TestOneQueryPath:
+    """Batch mode and the shell load files and check queries the same way."""
+
+    LENIENT_WARNING = ("warning: query, literal 1: output variable(s) i_X of a "
+                       "negative literal must be anonymous or already bound\n")
+
+    def test_batch_lenient_query_prints_its_warning(self):
+        code, out, err = batch(files=["examples/strat.rholog"],
+                               query_text="str1 :: (b) =\\=> i_X", lenient=True)
+        assert code == 0
+        assert err == self.LENIENT_WARNING
+        assert out == "i_X = i_X\n"
+
+    def test_shell_lenient_query_prints_its_warning_and_runs(self):
+        out, err = io.StringIO(), io.StringIO()
+        repl = Repl(files=["examples/strat.rholog"], lenient=True,
+                    in_=io.StringIO("str1 :: (b) =\\=> i_X.\n\nhalt.\n"),
+                    out=out, err=err)
+        assert repl.run() == 0
+        assert err.getvalue() == self.LENIENT_WARNING
+        assert "i_X = i_X\n" in out.getvalue()
+
+    def test_shell_reports_a_syntax_error_in_a_consulted_file_and_goes_on(self, tmp_path):
+        program = tmp_path / "typo.rholog"
+        program.write_text("p :: a ==> b.\np :: ==> a.\n", encoding="utf-8")
+        code, out, err = repl_session(f"consult('{program}').\nid :: a ==> i_X.\n\nhalt.\n")
+        assert code == 0
+        assert err.startswith("syntax error: ")
+        assert f"({program}, line 2" in err
+        assert "% consulted" not in out
+        assert "i_X = a" in out

@@ -23,7 +23,7 @@ from rholog.engine import (
 from rholog.matching import match_hedge
 from rholog.program import CutLiteral, PredLiteral, RhoClause, RhoLiteral, SourceProgram, \
     apply_to_literal
-from rholog.strategies import Interaction, corpus_source, list_corpus
+from rholog.strategies import Interaction, corpus_path, corpus_source
 from rholog.syntax import parse_hedge, parse_program, parse_term
 from rholog.terms import HOLE, Apply, Hedge, Var, apply_subst, singleton, symbol_apply
 
@@ -449,6 +449,13 @@ class TestBuiltins:
         assert session.runtime_errors
         assert "arithmetic" in err.getvalue()
 
+    def test_comparison_names_its_left_operand_first(self):
+        # Both operands are bad: the left one is evaluated, and named, first.
+        session = Session(consult_text(""), err=io.StringIO())
+        assert list(session.solve_text("a < b")) == []
+        assert session.runtime_errors == [
+            "arithmetic error in a < b: not an arithmetic expression: a"]
+
     def test_division_by_zero_reported(self):
         session = Session(consult_text(""), err=io.StringIO())
         assert list(session.solve_text("i_X is 1 // 0")) == []
@@ -558,8 +565,8 @@ class TestConsult:
 class TestAnswerStream:
     def test_order_is_deterministic(self, elementary):
         q = "choice(str1, str2) :: (a, b, a, f(a)) ==> s_X"
-        first = [ans.as_dict() for ans in elementary.solve_text(q)]
-        second = [ans.as_dict() for ans in elementary.solve_text(q)]
+        first = [dict(ans.pairs) for ans in elementary.solve_text(q)]
+        second = [dict(ans.pairs) for ans in elementary.solve_text(q)]
         assert first == second
 
     def test_first_answer_is_lazy(self):
@@ -610,6 +617,16 @@ class TestAnswerStream:
         with pytest.raises(DepthLimitExceeded):
             list(session.solve_text("spin :: a ==> i_X"))
 
+    def test_depth_limit_boundary(self):
+        # A goal of k literals needs k + 1 frames: the query's own, and one
+        # per literal selected.  A limit of 10 frames runs 9 literals and
+        # stops at 10.
+        session = Session(consult_text(""), depth_limit=10)
+        assert len(list(session.solve_text(", ".join(["true"] * 9)))) == 1
+        with pytest.raises(DepthLimitExceeded,
+                           match=r"^choice-point stack exceeded 10 frames$"):
+            list(session.solve_text(", ".join(["true"] * 10)))
+
     def test_long_derivations_fit_on_the_explicit_stack(self):
         # A 600-step normal form would overflow a recursion-based engine;
         # the choice-point stack is a plain list, so it just runs.
@@ -635,7 +652,7 @@ class TestAnswerStream:
         query = "str1 :: (a, b, a, f(a)) ==> (s_X, f(a), s_Y)"
         pattern = parse_hedge("(s_X, f(a), s_Y)")
         for answer in elementary.solve_text(query):
-            transformed = apply_subst(answer.as_dict(), pattern)
+            transformed = apply_subst(dict(answer.pairs), pattern)
             replay = (f"str1 :: (a, b, a, f(a)) ==> "
                       f"{format_hedge(transformed)}")
             assert list(elementary.solve_text(replay)), replay
@@ -798,8 +815,8 @@ class TestClauseActivation:
         # images for its head_in: the same instance, the same fresh names,
         # and the right facts at every node.
         rng = random.Random(0xC1A05E)
-        programs = [consult_text(corpus_source(name), strict=False)
-                    for name in list_corpus()]
+        programs = [consult_text(path.read_text(encoding="utf-8"), strict=False)
+                    for path in sorted(corpus_path("").glob("*/*.rholog"))]
         programs.append(consult_text(ALL_LOCALS, strict=False))
         # The parser admits no hole in a clause; built ones may hold some.
         x, z, c = Var("i", "X"), Var("i", "Z"), Var("c", "C")

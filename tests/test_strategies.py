@@ -6,7 +6,7 @@ import io
 import pytest
 
 from rholog.engine import Session, _Machine, consult_text
-from rholog.strategies import COMBINATORS, Interaction, corpus_source, list_corpus
+from rholog.strategies import COMBINATORS, Interaction, corpus_path, corpus_source
 from rholog.syntax import format_value, parse_hedge, parse_term
 from rholog.terms import Hedge
 
@@ -71,6 +71,14 @@ class TestCompose:
         nested = hedges(elementary,
                         "compose(str1, compose(str1, str2)) :: (a, b, a, f(a)) ==> s_X")
         assert flat == nested
+
+    def test_goal_after_compose_keeps_its_order(self):
+        out = io.StringIO()
+        session = Session(consult_text(""), out=out)
+        answers = list(session.solve_text(
+            "compose(id, id) :: a ==> i_X, write(one), write(two), write(three)"))
+        assert len(answers) == 1
+        assert out.getvalue() == "onetwothree"
 
     def test_needs_two_strategies(self, elementary):
         elementary.err = io.StringIO()
@@ -163,6 +171,15 @@ class TestIterate:
         # (f(a), f(a)), and both derivations are reported.
         got = hedges(elementary, "iterate(str1, 2) :: (a, a) ==> s_X")
         assert got == [parse_hedge("(f(a), f(a))")] * 2
+
+    def test_many_steps_are_counted(self):
+        # The depth limit turns a step count that never reaches 0 into a
+        # failure rather than a hang.
+        session = Session(consult_text("succ :: i_N ==> s(i_N).\n"),
+                          depth_limit=1000)
+        for steps in (6, 7, 12):
+            assert hedges(session, f"iterate(succ, {steps}) :: z ==> i_X") == \
+                [parse_term("s(" * steps + "z" + ")" * steps)]
 
     def test_fails_when_short_of_steps(self, elementary):
         assert hedges(elementary, "iterate(str1, 3) :: (a, b) ==> s_X") == []
@@ -347,11 +364,10 @@ class TestShippedRewritingStrategies:
         assert got == [parse_term(t) for t in expected]
 
     def test_corpus_listing(self):
-        names = list_corpus()
-        assert "prelude/rewrite.rholog" in names
-        for required in ("examples/flatten.rholog", "examples/replace.rholog",
+        for required in ("prelude/rewrite.rholog",
+                         "examples/flatten.rholog", "examples/replace.rholog",
                          "examples/prover.rholog", "examples/strat.rholog"):
-            assert required in names
+            assert corpus_path(required).is_file()
 
 
 class TestProver:

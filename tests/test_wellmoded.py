@@ -1,5 +1,11 @@
 """Well-modedness checker: the documented query/clause classifications."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rholog
 from rholog.strategies import corpus_source
 from rholog.syntax import parse_program, parse_query
 from rholog.wellmoded import (
@@ -45,6 +51,20 @@ class TestQueries:
     def test_strategy_must_be_ground(self):
         violations = check_query(parse_query("nf(i_S) :: a ==> i_X"))
         assert NONGROUND_STRATEGY in _kinds(violations)
+
+    def test_violation_variables_do_not_follow_string_hashing(self):
+        # A strategy's variables are gathered in a set, whose order follows
+        # string hashing: under PYTHONHASHSEED=3 it is i_C, i_A, i_B.
+        script = ("from rholog.syntax import parse_query\n"
+                  "from rholog.wellmoded import check_query\n"
+                  "for v in check_query(parse_query('f(i_A, i_B, i_C) :: a ==> i_X')):\n"
+                  "    print(v.kind, v.variables)\n")
+        env = dict(os.environ, PYTHONHASHSEED="3",
+                   PYTHONPATH=str(Path(rholog.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             encoding="utf-8", env=env, timeout=60)
+        assert run.stdout == (f"{UNBOUND_INPUT} (i_A, i_B, i_C)\n"
+                              f"{NONGROUND_STRATEGY} (i_A, i_B, i_C)\n")
 
     def test_anonymous_input_rejected(self):
         violations = check_query(parse_query("str1 :: i_ ==> i_X"))
